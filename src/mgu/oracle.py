@@ -8,6 +8,12 @@ substitution under a bound, and ``enumerated_unifiers`` filters the latter
 down to the actual unifiers of a pair; together they give finite, exact
 approximations of the (infinite) set of unifiers to certify mgus against.
 
+``enumerated_unifiers`` first drops, per domain variable, the images that a
+structural clash test rules out with every other variable left open; the
+test uses no unification algorithm.  Every surviving candidate must still
+pass ``is_unifier``, so the result is the same list, in the same order and
+with the same objects, as filtering every enumerated substitution.
+
 Enumeration order is fixed (variables lexically, then symbols lexically,
 argument tuples in product order, earlier domain variables cycling fastest)
 so failures are reproducible by index.
@@ -70,7 +76,11 @@ def solve_equations(eqs: EquationSet) -> UnifyOutcome:
         s, t, pos = work.popleft()
         if s == t:
             continue
-        if isinstance(s, App) and isinstance(t, App):
+        if isinstance(s, Var):
+            x, u = s, t
+        elif isinstance(t, Var):
+            x, u = t, s
+        else:  # two applications
             if s.symbol != t.symbol:
                 return Failed(Clash(pos, s.symbol, t.symbol))
             work.extendleft(
@@ -78,16 +88,13 @@ def solve_equations(eqs: EquationSet) -> UnifyOutcome:
                 for i, (a, b) in reversed(list(enumerate(zip(s.args, t.args), start=1)))
             )
             continue
-        if isinstance(t, Var) and not isinstance(s, Var):
-            s, t = t, s
-        assert isinstance(s, Var)
-        if s.name in t.vars:
-            return Failed(OccursCheck(s.name, t, pos))
-        elim = singleton(s.name, t)
+        if x.name in u.vars:
+            return Failed(OccursCheck(x.name, u, pos))
+        elim = singleton(x.name, u)
         work = deque((elim.apply(a), elim.apply(b), q) for a, b, q in work)
         for solved in solution:
             solution[solved] = elim.apply(solution[solved])
-        solution[s.name] = t
+        solution[x.name] = u
         steps += 1
     return Unified(Subst(solution), steps)
 
@@ -124,22 +131,21 @@ def enum_terms(bound: EnumBound) -> list[Term]:
 
 
 @lru_cache(maxsize=None)
+def _images(name: str, bound: EnumBound) -> tuple[Term, ...]:
+    """One domain variable's choices: itself (left unbound) first, then every
+    enumerated term other than itself."""
+    me = Var(name)
+    return (me,) + tuple(t for t in _enum_terms(bound) if t != me)
+
+
+@lru_cache(maxsize=None)
 def _enum_substitutions(domain: tuple[str, ...], bound: EnumBound) -> tuple[Subst, ...]:
-    terms = _enum_terms(bound)
-    choices = []
-    for name in domain:
-        me = Var(name)
-        choices.append([None] + [t for t in terms if t != me])
-    out: list[Subst] = []
-    # Reversed so the first domain variable cycles fastest.
-    for combo in itertools.product(*reversed(choices)):
-        bindings = {
-            name: image
-            for name, image in zip(reversed(domain), combo)
-            if image is not None
-        }
-        out.append(Subst(bindings))
-    return tuple(out)
+    # Reversed so the first domain variable cycles fastest; Subst drops the
+    # identity bindings that stand for "unbound".
+    return tuple(
+        Subst(dict(zip(reversed(domain), combo)))
+        for combo in itertools.product(*(_images(name, bound) for name in reversed(domain)))
+    )
 
 
 def enum_substitutions(domain: Iterable[str], bound: EnumBound) -> list[Subst]:
@@ -156,11 +162,62 @@ def enumerated_unifiers(s: Term, t: Term, bound: EnumBound) -> list[Subst]:
     """The enumerated substitutions over the pair's variables that unify it.
 
     Sound (every result is a unifier) and complete within the bound; an
-    empty result is evidence of nothing beyond the bound.
+    empty result is evidence of nothing beyond the bound.  Equal, element
+    for element and in order, to filtering ``enum_substitutions`` of the
+    pair's variables through ``is_unifier``.
     """
+    faced: dict[str, list[Term]] = {}
+    if not _faced_terms(s, t, faced):
+        return []
     domain = tuple(sorted(s.vars | t.vars))
-    return [
-        sigma
-        for sigma in _enum_substitutions(domain, bound)
-        if is_unifier(sigma, s, t)
-    ]
+    candidates = _enum_substitutions(domain, bound)
+    # Each variable keeps the images that can equal every term it faces,
+    # pre-multiplied by its stride in ``candidates``.
+    offsets = []
+    stride = 1
+    for x in domain:
+        images = _images(x, bound)
+        opposite = faced.get(x, ())
+        offsets.append([
+            stride * i
+            for i, u in enumerate(images)
+            if all(_image_may_equal(u, o, x, u) for o in opposite)
+        ])
+        stride *= len(images)
+    out = []
+    for combo in itertools.product(*reversed(offsets)):
+        sigma = candidates[sum(combo)]
+        if is_unifier(sigma, s, t):
+            out.append(sigma)
+    return out
+
+
+def _faced_terms(s: Term, t: Term, faced: dict[str, list[Term]]) -> bool:
+    """Walk the pair like ``Subst.applied_equal`` with every variable open,
+    recording under each variable the terms its occurrences face.
+
+    False at a head-symbol clash, which no substitution can undo.
+    """
+    if s is t:
+        return True
+    if isinstance(s, Var):
+        faced.setdefault(s.name, []).append(t)
+        return True
+    if isinstance(t, Var):
+        faced.setdefault(t.name, []).append(s)
+        return True
+    if s.symbol != t.symbol:
+        return False
+    return all(_faced_terms(a, b, faced) for a, b in zip(s.args, t.args))
+
+
+def _image_may_equal(v: Term, t: Term, x: str, u: Term) -> bool:
+    """Whether the fixed term ``v`` can equal ``t`` under ``x -> u``, other
+    variables open."""
+    if not t.vars:
+        return v == t
+    if isinstance(t, Var):
+        return t.name != x or v == u
+    if not isinstance(v, App) or v.symbol != t.symbol:
+        return False
+    return all(_image_may_equal(a, b, x, u) for a, b in zip(v.args, t.args))

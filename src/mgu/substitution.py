@@ -113,15 +113,9 @@ class Subst:
         return Subst({x: img for x, img in self._map.items() if x in keep})
 
     def is_idempotent(self) -> bool:
-        """True iff composing the substitution with itself changes nothing.
-
-        Computed both ways (self-composition and domain/range disjointness);
-        the two characterizations always agree.
-        """
-        by_sets = self._dom.isdisjoint(self.vran())
-        by_composition = compose(self, self) == self
-        assert by_sets == by_composition
-        return by_sets
+        """True iff composing the substitution with itself changes nothing,
+        i.e. no domain variable occurs in the range."""
+        return self._dom.isdisjoint(self.vran())
 
 
 def identity() -> Subst:

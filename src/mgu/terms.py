@@ -229,20 +229,19 @@ def subterm_at(t: Term, p: Position) -> Term:
 def replace_at(t: Term, p: Position, s: Term) -> Term:
     """``t`` with the subterm at ``p`` replaced by ``s``.
 
-    Every position of ``t`` disjoint from ``p`` is left untouched.
+    Every position of ``t`` disjoint from ``p`` is left untouched.  Raises
+    InvalidPositionError, like ``subterm_at``, if ``p`` is not in ``t``.
     """
-    subterm_at(t, p)  # validates, reporting the exact offending prefix
-    return _replace(t, p, s)
-
-
-def _replace(t: Term, p: Position, s: Term) -> Term:
-    if not p:
-        return s
-    assert isinstance(t, App)
-    i = p[0]
-    args = t.args
-    new_args = args[: i - 1] + (_replace(args[i - 1], p[1:], s),) + args[i:]
-    return App(t.symbol, new_args)
+    spine: list[App] = []
+    cur = t
+    for depth, i in enumerate(p):
+        if not isinstance(cur, App) or not 1 <= i <= len(cur.args):
+            raise InvalidPositionError(t, p, p[: depth + 1])
+        spine.append(cur)
+        cur = cur.args[i - 1]
+    for node, i in zip(reversed(spine), reversed(p)):
+        s = App(node.symbol, node.args[: i - 1] + (s,) + node.args[i:])
+    return s
 
 
 def vars_of(t: Term) -> frozenset[str]:

@@ -267,7 +267,8 @@ def _next_position(s: Term, t: Term, p: Position) -> Position:
         return ROOT
     parent = p[:-1]
     sp, tp = subterm_at(s, parent), subterm_at(t, parent)
-    assert isinstance(sp, App) and isinstance(tp, App)
+    if not (isinstance(sp, App) and isinstance(tp, App)):
+        raise RuntimeError(f"next_position: parent of {p} is a leaf (internal bug)")
     if sp.symbol != tp.symbol:
         return parent
     sibling = parent + (p[-1] + 1,)
