@@ -9,7 +9,7 @@ restriction and the generality pre-order are built on top of that.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable, Mapping, Set as AbstractSet
 from dataclasses import dataclass
 
 from .terms import App, Position, ROOT, Term, Var, is_variable_name
@@ -69,18 +69,20 @@ class Subst:
 
     def vran(self) -> frozenset[str]:
         """Variables occurring in the range."""
-        out: frozenset[str] = frozenset()
-        for img in self._map.values():
-            out |= img.vars
-        return out
+        return frozenset().union(*(img.vars for img in self._map.values()))
 
     def apply(self, t: Term) -> Term:
-        """Homomorphic extension: substitute throughout ``t``."""
+        """Homomorphic extension: substitute throughout ``t``.
+
+        Subterms with no variable in the domain are returned as they are.
+        Every other node is instantiated once per call, however often ``t``
+        holds it, so a subterm that ``t`` shares is one object in the result
+        too, and a term whose tree is exponentially larger than its
+        distinct nodes costs only those nodes.
+        """
         if t.vars.isdisjoint(self._dom):
             return t
-        if isinstance(t, Var):
-            return self._map.get(t.name, t)
-        return App(t.symbol, tuple(self.apply(a) for a in t.args))
+        return _instantiate(t, self._map, self._dom, {})
 
     def applied_equal(self, s: Term, t: Term) -> bool:
         """Whether applying the substitution makes the two terms equal.
@@ -116,6 +118,27 @@ class Subst:
         """True iff composing the substitution with itself changes nothing,
         i.e. no domain variable occurs in the range."""
         return self._dom.isdisjoint(self.vran())
+
+
+def _instantiate(
+    t: Term, table: Mapping[str, Term], dom: AbstractSet[str], memo: dict[int, Term]
+) -> Term:
+    """``t``, which has a variable in ``dom``, with each such variable replaced
+    by its image in ``table``.
+
+    ``memo`` maps the id of every application node already instantiated in
+    this pass to its image; the caller keeps the input term, and with it
+    every key, alive for as long as the memo is used.
+    """
+    if isinstance(t, Var):
+        return table[t.name]
+    out = memo.get(id(t))
+    if out is None:
+        args = []
+        for a in t.args:
+            args.append(a if dom.isdisjoint(a.vars) else _instantiate(a, table, dom, memo))
+        out = memo[id(t)] = App(t.symbol, args)
+    return out
 
 
 def identity() -> Subst:

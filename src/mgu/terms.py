@@ -4,7 +4,8 @@ A term is either a variable leaf or the application of a declared function
 symbol to exactly arity-many argument terms.  Terms are immutable and compare
 structurally; every node caches its hash, variable set and node count at
 construction so that equality tests, occurs checks and termination measures
-do not rewalk the tree.  Nodes stay plain trees, never shared or interned.
+do not rewalk the tree.  Nodes are never interned; instantiation shares
+repeated subterms.
 
 A position is a tuple of 1-based child indices; ``()`` is the root.  The
 textual form is dot-separated indices with ``e`` for the root, e.g. ``2.1``.

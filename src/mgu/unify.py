@@ -2,8 +2,11 @@
 
 Three equivalent algorithms are provided.  All of them repeatedly locate the
 leftmost-outermost position where the two terms disagree, bind the variable
-found there, instantiate both terms and continue, composing the one-variable
-link substitutions right to left.  They differ in bookkeeping:
+found there, instantiate both terms and continue.  The one-variable link
+substitutions are collected in order and composed once, at the end; that
+gives the same substitution as composing each link into the unifier as it
+is made, without rewriting every earlier binding at every step.  The
+algorithms differ in bookkeeping:
 
 - ``classic_unify`` resolves differences through ``sub_of_frst_diff``, whose
   preconditions (a variable at the conflict, no occurrence of it in the
@@ -25,7 +28,7 @@ from __future__ import annotations
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 
-from .substitution import Subst, compose, identity, more_general, singleton
+from .substitution import Subst, _instantiate, more_general, singleton
 from .terms import (
     App,
     InvalidPositionError,
@@ -172,35 +175,85 @@ def sub_of_frst_diff(s: Term, t: Term) -> Subst:
     variable when both sides are variables.  A variable occurring in its
     partner subterm means the inputs were not unifiable: NotUnifiableError.
     """
-    p = resolving_diff(s, t)
-    sp, tp = subterm_at(s, p), subterm_at(t, p)
-    x, img = (sp, tp) if isinstance(sp, Var) else (tp, sp)
-    if x.name in img.vars:
-        raise NotUnifiableError(OccursCheck(x.name, img, p))
-    return singleton(x.name, img)
+    return singleton(*_sub_at(s, t, resolving_diff(s, t)))
 
 
-def _link(sp: Term, tp: Term, pos: Position) -> Subst | FailureCause:
-    """Resolve the root disagreement of two distinct subterms found at ``pos``."""
+def _sub_at(s: Term, t: Term, p: Position) -> tuple[str, Term]:
+    """sub_of_frst_diff's binding for the position ``resolving_diff`` found."""
+    link = _link(subterm_at(s, p), subterm_at(t, p), p)
+    if isinstance(link, OccursCheck):  # resolving_diff has already ruled out a clash
+        raise NotUnifiableError(link)
+    return link
+
+
+def _link(sp: Term, tp: Term, pos: Position) -> tuple[str, Term] | FailureCause:
+    """Resolve the root disagreement of two distinct subterms found at ``pos``.
+
+    The result is the binding ``(x, image)`` of the link, or the cause.
+    """
     if isinstance(sp, Var):
         if sp.name in tp.vars:
             return OccursCheck(sp.name, tp, pos)
-        return singleton(sp.name, tp)
+        return sp.name, tp
     if isinstance(tp, Var):
         if tp.name in sp.vars:
             return OccursCheck(tp.name, sp, pos)
-        return singleton(tp.name, sp)
+        return tp.name, sp
     return Clash(pos, sp.symbol, tp.symbol)
 
 
 def link_of_frst_diff(s: Term, t: Term) -> Subst | FailureCause:
     """Total variant of sub_of_frst_diff: failure is a value, not an error."""
     p = first_diff(s, t)
-    return _link(subterm_at(s, p), subterm_at(t, p), p)
+    link = _link(subterm_at(s, p), subterm_at(t, p), p)
+    return singleton(*link) if isinstance(link, tuple) else link
 
 
 def _measure(s: Term, t: Term) -> int:
     return len(s.vars | t.vars)
+
+
+class _Run:
+    """The links one unification has made so far, in order.
+
+    All three algorithms resolve a difference the same way once they have
+    found it: instantiate both terms with the link, record it, and report
+    the step to the trace.  The accumulated unifier is built only at the
+    end, by ``unified``.
+    """
+
+    __slots__ = ("links", "trace", "vars_now")
+
+    def __init__(self, s: Term, t: Term, trace: TraceFn | None):
+        self.links: list[tuple[str, Term]] = []
+        self.trace = trace
+        self.vars_now = _measure(s, t) if trace is not None else 0
+
+    def resolve(self, s: Term, t: Term, p: Position, link: tuple[str, Term]) -> tuple[Term, Term]:
+        """Both terms instantiated by the link found at ``p``."""
+        sig = singleton(*link)
+        s, t = sig.apply(s), sig.apply(t)
+        self.links.append(link)
+        if self.trace is not None:
+            vars_before, self.vars_now = self.vars_now, _measure(s, t)
+            self.trace(TraceStep(len(self.links), p, link, vars_before, self.vars_now))
+        return s, t
+
+    def unified(self) -> Unified:
+        """The links composed right to left, as ``compose(σ_k, … compose(σ_1,
+        identity()))`` would, but each binding is built once.
+
+        A link eliminates its variable from both terms for good, so no
+        ``x_i`` occurs in ``u_j`` for ``j >= i`` and the variables are
+        distinct.  The final image of ``x_i`` is therefore ``u_i`` under the
+        final images of the later links: resolving back to front needs one
+        instantiation per link, and no binding is ever rewritten.
+        """
+        table: dict[str, Term] = {}
+        done = table.keys()
+        for x, u in reversed(self.links):
+            table[x] = u if done.isdisjoint(u.vars) else _instantiate(u, table, done, {})
+        return Unified(Subst(table), len(self.links))
 
 
 def classic_unify(s: Term, t: Term, trace: TraceFn | None = None) -> UnifyOutcome:
@@ -211,39 +264,27 @@ def classic_unify(s: Term, t: Term, trace: TraceFn | None = None) -> UnifyOutcom
     resolving substitutions composed right to left.  Precondition violations
     inside a step (clash, occurs) become Failed outcomes.
     """
-    acc = identity()
-    steps = 0
+    run = _Run(s, t, trace)
     while s != t:
         try:
-            sig = sub_of_frst_diff(s, t)
+            p = resolving_diff(s, t)
+            link = _sub_at(s, t, p)
         except NotUnifiableError as err:
             return Failed(err.cause)
-        s2, t2 = sig.apply(s), sig.apply(t)
-        steps += 1
-        if trace is not None:
-            ((x, img),) = sig.items()
-            trace(TraceStep(steps, first_diff(s, t), (x, img), _measure(s, t), _measure(s2, t2)))
-        acc = compose(sig, acc)
-        s, t = s2, t2
-    return Unified(acc, steps)
+        s, t = run.resolve(s, t, p, link)
+    return run.unified()
 
 
 def robinson_unify(s: Term, t: Term, trace: TraceFn | None = None) -> UnifyOutcome:
     """Unify by repeated link_of_frst_diff steps; failure causes propagate."""
-    acc = identity()
-    steps = 0
+    run = _Run(s, t, trace)
     while s != t:
-        sig = link_of_frst_diff(s, t)
-        if not isinstance(sig, Subst):
-            return Failed(sig)
-        s2, t2 = sig.apply(s), sig.apply(t)
-        steps += 1
-        if trace is not None:
-            ((x, img),) = sig.items()
-            trace(TraceStep(steps, first_diff(s, t), (x, img), _measure(s, t), _measure(s2, t2)))
-        acc = compose(sig, acc)
-        s, t = s2, t2
-    return Unified(acc, steps)
+        p = first_diff(s, t)
+        link = _link(subterm_at(s, p), subterm_at(t, p), p)
+        if not isinstance(link, tuple):
+            return Failed(link)
+        s, t = run.resolve(s, t, p, link)
+    return run.unified()
 
 
 def next_position(s: Term, t: Term, p: Position) -> Position:
@@ -263,21 +304,23 @@ def next_position(s: Term, t: Term, p: Position) -> Position:
 
 
 def _next_position(s: Term, t: Term, p: Position) -> Position:
-    if p == ROOT:
-        return ROOT
-    parent = p[:-1]
-    sp, tp = subterm_at(s, parent), subterm_at(t, parent)
-    if not (isinstance(sp, App) and isinstance(tp, App)):
-        raise RuntimeError(f"next_position: parent of {p} is a leaf (internal bug)")
-    if sp.symbol != tp.symbol:
-        return parent
-    sibling = parent + (p[-1] + 1,)
-    if p[-1] + 1 <= len(sp.args):
-        if subterm_at(s, sibling) != subterm_at(t, sibling):
-            return sibling
-        return _next_position(s, t, sibling)
-    if parent != ROOT:
-        return _next_position(s, t, parent)
+    # The pairs of subterms at the proper prefixes of p, root first: one
+    # walk down, then the climb pops them.
+    spine = [(s, t)]
+    for i in p[:-1]:
+        s, t = s.args[i - 1], t.args[i - 1]
+        spine.append((s, t))
+    while p:
+        sp, tp = spine.pop()
+        parent = p[:-1]
+        if not (isinstance(sp, App) and isinstance(tp, App)):
+            raise RuntimeError(f"next_position: parent of {p} is a leaf (internal bug)")
+        if sp.symbol != tp.symbol:
+            return parent
+        for i in range(p[-1], len(sp.args)):
+            if sp.args[i] != tp.args[i]:
+                return parent + (i + 1,)
+        p = parent
     return ROOT
 
 
@@ -290,34 +333,28 @@ def robinson_unify_efficient(s: Term, t: Term, trace: TraceFn | None = None) -> 
     the whole instantiated terms again.  Produces the same outcome, and on
     success the same substitution, as the other two algorithms.
     """
+    run = _Run(s, t, trace)
     # The variable count bounds the number of conflicts and the position
     # count bounds the scan between conflicts; exceeding their product
     # means the position bookkeeping is broken, never that input was bad.
     limit = term_size(s) * (_measure(s, t) + 1) + 1
-    acc = identity()
-    steps = 0
     p: Position = ROOT
     for _ in range(limit):
         sp, tp = subterm_at(s, p), subterm_at(t, p)
         if sp == tp:
             p = _next_position(s, t, p)
             if p == ROOT:
-                return Unified(acc, steps)
+                return run.unified()
             continue
-        conflict = p + first_diff(sp, tp)
-        sig = _link(subterm_at(s, conflict), subterm_at(t, conflict), conflict)
-        if not isinstance(sig, Subst):
-            return Failed(sig)
-        s2, t2 = sig.apply(s), sig.apply(t)
-        steps += 1
-        if trace is not None:
-            ((x, img),) = sig.items()
-            trace(TraceStep(steps, conflict, (x, img), _measure(s, t), _measure(s2, t2)))
-        acc = compose(sig, acc)
-        s, t = s2, t2
+        q = first_diff(sp, tp)
+        conflict = p + q
+        link = _link(subterm_at(sp, q), subterm_at(tp, q), conflict)
+        if not isinstance(link, tuple):
+            return Failed(link)
+        s, t = run.resolve(s, t, conflict, link)
         p = _next_position(s, t, conflict)
         if p == ROOT:
-            return Unified(acc, steps)
+            return run.unified()
     raise RuntimeError("position scan failed to terminate: internal bug")
 
 

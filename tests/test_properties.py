@@ -9,7 +9,7 @@ from mgu.oracle import (
     enumerated_unifiers,
     solve_equations,
 )
-from mgu.substitution import Subst, compose, more_general
+from mgu.substitution import Subst, compose, identity, more_general, singleton
 from mgu.terms import (
     Signature,
     Var,
@@ -286,3 +286,55 @@ def test_enumerated_unifiers_matches_unpruned_filter(pair):
     got = enumerated_unifiers(s, t, bound)
     assert len(got) == len(reference)
     assert all(a is b for a, b in zip(got, reference))
+
+
+# Pairs over five variables and an arity-3 symbol, for the deferred
+# composition against the eager fold: a term against an instance of itself,
+# so that most pairs unify in several steps whose links feed each other.
+# Instantiating a repeated variable repeats its image object, and h(u, v, u)
+# repeats a subterm object outright.
+VARS5 = ("V", "W", "X", "Y", "Z")
+_leaves5 = st.sampled_from([Var(n) for n in VARS5] + [SIG3.app("a"), SIG3.app("b")])
+_terms5 = st.recursive(
+    _leaves5,
+    lambda c: st.one_of(
+        st.builds(lambda u: SIG3.app("g", u), c),
+        st.builds(lambda u, v: SIG3.app("f", u, v), c, c),
+        st.builds(lambda u, v, w: SIG3.app("h", u, v, w), c, c, c),
+        st.builds(lambda u, v: SIG3.app("h", u, v, u), c, c),
+    ),
+    max_leaves=8,
+)
+_images5 = st.recursive(
+    _leaves5,
+    lambda c: st.one_of(
+        st.builds(lambda u: SIG3.app("g", u), c),
+        st.builds(lambda u, v: SIG3.app("f", u, v), c, c),
+    ),
+    max_leaves=3,
+)
+
+
+@st.composite
+def term_against_instance(draw):
+    u = SIG3.app("h", draw(_terms5), draw(_terms5), draw(_terms5))
+    sigma = draw(st.dictionaries(st.sampled_from(VARS5), _images5, min_size=2, max_size=5))
+    v = Subst(sigma).apply(u)
+    return (u, v) if draw(st.booleans()) else (v, u)
+
+
+@settings(max_examples=200, deadline=None)
+@given(term_against_instance())
+@example((SIG3.app("h", Var("X"), Var("Y"), Var("X")),
+          SIG3.app("h", SIG3.app("f", Var("Y"), Var("Z")), SIG3.app("g", Var("W")), Var("V"))))
+def test_deferred_composition_equals_eager_fold(pair):
+    s, t = pair
+    for algorithm in (classic_unify, robinson_unify, robinson_unify_efficient):
+        steps = []
+        out = algorithm(s, t, trace=steps.append)
+        if isinstance(out, Unified):
+            eager = identity()
+            for ts in steps:
+                eager = compose(singleton(*ts.binding), eager)
+            assert out.steps == len(steps)
+            assert out.mgu == eager

@@ -11,7 +11,7 @@ from mgu.substitution import (
     singleton,
     subst_equal,
 )
-from mgu.terms import ROOT, Signature, Var
+from mgu.terms import ROOT, Signature, Var, term_size
 
 SIG = Signature({"a": 0, "b": 0, "f": 2, "g": 1})
 X, Y, Z = Var("X"), Var("Y"), Var("Z")
@@ -77,6 +77,16 @@ class TestApply:
 
     def test_apply_no_recursion_into_images(self):
         assert Subst({"X": g(Y)}).apply(g(X)) == g(g(Y))
+
+    def test_shared_chain_stays_shared(self):
+        # D_i = f(D_{i-1}, D_{i-1}) has 65 distinct nodes but 2**65 - 1 as a
+        # tree: the call returns only if each distinct node is rebuilt once.
+        d = X
+        for _ in range(64):
+            d = f(d, d)
+        out = Subst({"X": a}).apply(d)
+        assert out.args[0] is out.args[1]
+        assert term_size(out) == 2**65 - 1
 
     def test_applied_equal_matches_apply(self):
         sigma = Subst({"X": g(Y), "Y": a})

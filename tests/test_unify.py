@@ -1,6 +1,7 @@
 import pytest
 
-from mgu.substitution import Subst, identity
+from mgu.oracle import EquationSet, solve_equations
+from mgu.substitution import Subst, compose, identity, singleton
 from mgu.terms import InvalidPositionError, ROOT, Signature, Var
 from mgu.unify import (
     Clash,
@@ -189,6 +190,51 @@ class TestTrace:
         steps = []
         classic_unify(a, a, trace=steps.append)
         assert steps == []
+
+
+def shared_family(n):
+    """Chains X_i = f(X_{i-1}, X_{i-1}) and Y_i likewise, then X_n = Y_n.
+
+    The equations are paired into one term pair as right-nested f-lists;
+    resolving them builds terms whose trees double in size with every link.
+    """
+
+    def f_list(items):
+        out = a
+        for item in reversed(items):
+            out = f(item, out)
+        return out
+
+    xs = [Var(f"X{i}") for i in range(n + 1)]
+    ys = [Var(f"Y{i}") for i in range(n + 1)]
+    s = f_list(xs[1:] + ys[1:] + [xs[n]])
+    t = f_list([f(u, u) for u in xs[:-1]] + [f(u, u) for u in ys[:-1]] + [ys[n]])
+    return s, t
+
+
+def eager_fold(steps):
+    """compose(σ_k, … compose(σ_1, identity())) over the traced links."""
+    acc = identity()
+    for ts in steps:
+        acc = compose(singleton(*ts.binding), acc)
+    return acc
+
+
+class TestSharedStructure:
+    def test_shared_family_agrees_across_algorithms(self):
+        s, t = shared_family(14)
+        mgus = []
+        for algorithm in ALGORITHMS:
+            steps = []
+            out = algorithm(s, t, trace=steps.append)
+            assert isinstance(out, Unified)
+            assert out.mgu == eager_fold(steps)
+            mgus.append(out.mgu)
+        oracle = solve_equations(EquationSet([(s, t)]))
+        assert isinstance(oracle, Unified)
+        mgus.append(oracle.mgu)
+        assert all(mgu == mgus[0] for mgu in mgus)
+        assert is_unifier(mgus[0], s, t)
 
 
 class TestNextPosition:
