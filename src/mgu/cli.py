@@ -3,11 +3,17 @@ unification algorithm, and expose the term/substitution utilities.
 
 Exit codes: 0 for a successful result, 1 when the domain says no (not
 unifiable, invalid position, no match), 2 for any input error.
+
+``main`` builds its argument parser once per process, on its first call,
+and shares it with every later call: parsing leaves the parser unchanged,
+and usage and help are formatted when they are printed.  ``build_parser``
+still returns a fresh parser for callers that want their own.
 """
 
 from __future__ import annotations
 
 import argparse
+import functools
 import os
 import re
 import sys
@@ -16,6 +22,7 @@ from dataclasses import dataclass
 from .oracle import EquationSet, solve_equations
 from .substitution import Matched, Subst, compose, match_terms
 from .terms import (
+    App,
     InvalidPositionError,
     Signature,
     Term,
@@ -156,7 +163,7 @@ def _parse_term(toks: _Tokens, sig: Signature) -> Term:
             f"offset {off}: arity mismatch for {tok!r}: "
             f"expected {expected} argument(s), found {len(args)}"
         )
-    return sig.app(tok, *args)
+    return App(tok, args)
 
 
 def parse_term(text: str, sig: Signature) -> Term:
@@ -331,6 +338,16 @@ def cmd_utils(config: SessionConfig, subcommand: str, args: list[str]) -> int:
     return 1
 
 
+_UTIL_ARGS = {
+    "positions": ("term",),
+    "subterm": ("term", "position"),
+    "replace": ("term", "position", "replacement"),
+    "apply": ("subst", "term"),
+    "compose": ("subst", "subst2"),
+    "match": ("pattern", "target"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="mgu",
@@ -353,35 +370,23 @@ def build_parser() -> argparse.ArgumentParser:
     p_unify.add_argument("--trace", action="store_true", help="print one line per resolved conflict")
     common(p_unify)
 
-    for name, metavars in (
-        ("positions", ("TERM",)),
-        ("subterm", ("TERM", "POSITION")),
-        ("replace", ("TERM", "POSITION", "REPLACEMENT")),
-        ("apply", ("SUBST", "TERM")),
-        ("compose", ("SUBST", "SUBST2")),
-        ("match", ("PATTERN", "TARGET")),
-    ):
+    for name, params in _UTIL_ARGS.items():
         p = sub.add_parser(name)
-        for mv in metavars:
-            p.add_argument(mv.lower())
+        for param in params:
+            p.add_argument(param)
         common(p)
     return parser
 
 
-_UTIL_ARGS = {
-    "positions": ("term",),
-    "subterm": ("term", "position"),
-    "replace": ("term", "position", "replacement"),
-    "apply": ("subst", "term"),
-    "compose": ("subst", "subst2"),
-    "match": ("pattern", "target"),
-}
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser ``main`` shares across calls, built on first use."""
+    return build_parser()
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        ns = parser.parse_args(argv)
+        ns = _parser().parse_args(argv)
     except SystemExit as exit_:  # argparse already printed the message
         return int(exit_.code or 0)
     config = SessionConfig(

@@ -29,7 +29,7 @@ from functools import lru_cache
 
 from .substitution import Subst, singleton
 from .terms import App, Position, ROOT, Signature, Term, Var
-from .unify import Clash, Failed, OccursCheck, Unified, UnifyOutcome, is_unifier
+from .unify import Clash, Failed, OccursCheck, Unified, UnifyOutcome, _ill_formed, is_unifier
 
 
 @dataclass(frozen=True)
@@ -65,7 +65,9 @@ def solve_equations(eqs: EquationSet) -> UnifyOutcome:
     applications, orient term = variable, and eliminate variable = term by
     substituting everywhere (after the occurs check).  Reported failure
     positions are relative to the originating equation's terms as
-    instantiated at failure time.
+    instantiated at failure time.  Applications of one symbol with
+    different argument counts are ill-formed: ValueError, as in
+    ``first_diff``.
     """
     work: deque[tuple[Term, Term, Position]] = deque(
         (s, t, ROOT) for s, t in eqs.equations
@@ -83,6 +85,8 @@ def solve_equations(eqs: EquationSet) -> UnifyOutcome:
         else:  # two applications
             if s.symbol != t.symbol:
                 return Failed(Clash(pos, s.symbol, t.symbol))
+            if len(s.args) != len(t.args):
+                raise _ill_formed(s, t)
             work.extendleft(
                 (a, b, pos + (i,))
                 for i, (a, b) in reversed(list(enumerate(zip(s.args, t.args), start=1)))

@@ -18,6 +18,9 @@ algorithms differ in bookkeeping:
   from the root, since instantiation can never create a difference at or
   left of a resolved position.
 
+Two applications of one symbol with different argument counts, which
+``Signature.app`` never builds, make every algorithm raise ValueError.
+
 Every resolved conflict removes the bound variable from both terms, so the
 number of distinct variables strictly decreases: that is the termination
 measure, observable per step through the optional trace callback.
@@ -150,8 +153,13 @@ def first_diff(s: Term, t: Term) -> Position:
                 s, t = a, b
                 break
         else:  # same symbol, no differing argument: ill-formed arities
-            raise ValueError(f"terms are ill-formed: {s} and {t} share a symbol but not an arity")
+            raise _ill_formed(s, t)
     return pos
+
+
+def _ill_formed(s: App, t: App) -> ValueError:
+    """The error for two applications of one symbol with different argument counts."""
+    return ValueError(f"terms are ill-formed: {s} and {t} share a symbol but not an arity")
 
 
 def resolving_diff(s: Term, t: Term) -> Position:
@@ -294,7 +302,9 @@ def next_position(s: Term, t: Term, p: Position) -> Position:
     further conflict.  If the parents of ``p`` disagree on their head
     symbols the parent position itself is returned (an unresolved conflict
     above ``p``; unreachable when everything left of ``p`` has been
-    resolved, but kept for totality).
+    resolved, but kept for totality).  Parents with one symbol but
+    different argument counts are ill-formed: ValueError, as in
+    ``first_diff``.
     """
     if not is_valid_position(s, p):
         raise InvalidPositionError(s, p, p)
@@ -317,6 +327,8 @@ def _next_position(s: Term, t: Term, p: Position) -> Position:
             raise RuntimeError(f"next_position: parent of {p} is a leaf (internal bug)")
         if sp.symbol != tp.symbol:
             return parent
+        if len(sp.args) != len(tp.args):
+            raise _ill_formed(sp, tp)
         for i in range(p[-1], len(sp.args)):
             if sp.args[i] != tp.args[i]:
                 return parent + (i + 1,)

@@ -1,3 +1,9 @@
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
+
 import pytest
 
 from mgu.cli import (
@@ -261,3 +267,71 @@ class TestDeterminism:
         second = capsys.readouterr()
         assert first.out == second.out
         assert first.err == second.err
+
+
+class TestSharedParser:
+    """``main`` reuses one parser per process; its calls must stay independent."""
+
+    def test_calls_do_not_leak_into_each_other(self, sig_file, capsys):
+        pair = ["f(X, g(Y))", "f(g(Z), X)", "--sig", sig_file]
+        argv = ["unify", *pair, "--algorithm", "classic", "--trace", "--output", "structured"]
+        assert main(argv) == 0
+        assert capsys.readouterr().out == (
+            "step 1: pos=1 bind X -> g(Z) vars 3 -> 2\n"
+            "step 2: pos=2.1 bind Y -> Z vars 2 -> 1\n"
+            "status: unified\nmgu: {X -> g(Z), Y -> Z}\nsteps: 2\n"
+        )
+        assert main(["unify", *pair]) == 0
+        assert capsys.readouterr().out == "{X -> g(Z), Y -> Z}\n"
+        assert main(["unify", *pair, "--algorithm", "nope"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: mgu unify") and "invalid choice: 'nope'" in err
+        assert main(["apply", "{X -> a}", "f(X, Y)", "--sig", sig_file]) == 0
+        assert capsys.readouterr() == ("f(a,Y)\n", "")
+
+    def test_help_is_repeatable(self, capsys):
+        assert main(["--help"]) == 0
+        first = capsys.readouterr().out
+        assert main(["--help"]) == 0
+        assert capsys.readouterr().out == first
+        assert first.startswith("usage: mgu")
+
+    def test_concurrent_calls(self, sig_file, capsys):
+        cases = [
+            (["unify", "f(X, g(Y))", "f(g(Z), X)", "--sig", sig_file, "--trace"], 0),
+            (["unify", "X", "f(X, Y)", "--sig", sig_file, "--output", "structured"], 1),
+            (["unify", "a", "a", "--sig", sig_file, "--algorithm", "nope"], 2),
+            (["match", "f(X, X)", "f(a, b)", "--sig", sig_file], 1),
+            (["positions", "f(X, g(a))", "--sig", sig_file], 0),
+        ]
+        calls = 25
+        codes = [[] for _ in range(8)]
+
+        def worker(out):
+            for i in range(calls):
+                argv, _ = cases[i % len(cases)]
+                out.append(main(argv))
+
+        threads = [threading.Thread(target=worker, args=(out,)) for out in codes]
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in threads)
+        expected = [cases[i % len(cases)][1] for i in range(calls)]
+        assert codes == [expected] * len(threads)
+
+
+def test_cold_entry_point(sig_file):
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    proc = subprocess.run(
+        [sys.executable, "-X", "dev", "-m", "mgu.cli", "unify", "f(X, g(Y))", "f(g(Z), X)",
+         "--sig", sig_file],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "{X -> g(Z), Y -> Z}\n", "")

@@ -2,7 +2,7 @@ import pytest
 
 from mgu.oracle import EquationSet, solve_equations
 from mgu.substitution import Subst, compose, identity, singleton
-from mgu.terms import InvalidPositionError, ROOT, Signature, Var
+from mgu.terms import App, InvalidPositionError, ROOT, Signature, Var
 from mgu.unify import (
     Clash,
     Failed,
@@ -235,6 +235,35 @@ class TestSharedStructure:
         mgus.append(oracle.mgu)
         assert all(mgu == mgus[0] for mgu in mgus)
         assert is_unifier(mgus[0], s, t)
+
+
+def h(*args):
+    """``h`` at whatever arity it is given: ill-formed beside another arity."""
+    return App("h", args)
+
+
+def solve_pair(s, t):
+    return solve_equations(EquationSet([(s, t)]))
+
+
+class TestIllFormed:
+    """One symbol at two arities is ill-formed in every algorithm, whichever side has more."""
+
+    @pytest.mark.parametrize("swap", [False, True], ids=["longer-left", "longer-right"])
+    @pytest.mark.parametrize(
+        "run, s, t",
+        [
+            *((algorithm, h(X, a, b), h(a, a)) for algorithm in ALGORITHMS),
+            (solve_pair, h(X, a, b), h(a, a)),
+            (lambda s, t: next_position(s, t, (2, 1)), f(g(X), h(Y, Z)), f(g(X), h(Y))),
+        ],
+        ids=["classic", "robinson", "efficient", "mm", "next_position"],
+    )
+    def test_ill_formed_pair_raises(self, run, s, t, swap):
+        if swap:
+            s, t = t, s
+        with pytest.raises(ValueError, match="terms are ill-formed: .* share a symbol but not an arity"):
+            run(s, t)
 
 
 class TestNextPosition:
