@@ -2,7 +2,8 @@
 unification algorithm, and expose the term/substitution utilities.
 
 Exit codes: 0 for a successful result, 1 when the domain says no (not
-unifiable, invalid position, no match), 2 for any input error.
+unifiable, invalid position, no match), 2 for any input error, input
+nested too deeply for the recursive parser and term walks included.
 
 ``main`` builds its argument parser once per process, on its first call,
 and shares it with every later call: parsing leaves the parser unchanged,
@@ -17,6 +18,7 @@ import functools
 import os
 import re
 import sys
+from collections.abc import Callable
 from dataclasses import dataclass
 
 from .oracle import EquationSet, solve_equations
@@ -38,8 +40,10 @@ from .terms import (
 )
 from .unify import (
     Clash,
+    TraceFn,
     TraceStep,
     Unified,
+    UnifyOutcome,
     classic_unify,
     describe_failure,
     format_trace_step,
@@ -49,7 +53,15 @@ from .unify import (
 
 SIG_ENV_VAR = "MGU_SIG"
 
-ALGORITHMS = ("classic", "robinson", "efficient", "mm")
+# Each entry looks its engine function up when it is called, so that a
+# function rebound on this module (by a tracer, say) is the one that runs.
+_UNIFIERS: dict[str, Callable[[Term, Term, TraceFn | None], UnifyOutcome]] = {
+    "classic": lambda s, t, trace: classic_unify(s, t, trace),
+    "robinson": lambda s, t, trace: robinson_unify(s, t, trace),
+    "efficient": lambda s, t, trace: robinson_unify_efficient(s, t, trace),
+    "mm": lambda s, t, trace: solve_equations(EquationSet(((s, t),))),
+}
+ALGORITHMS = tuple(_UNIFIERS)
 
 
 class ParseError(ValueError):
@@ -208,13 +220,16 @@ def _load_signature(config: SessionConfig) -> Signature:
         return parse_signature(handle.read())
 
 
-def _input_error(err: Exception) -> int:
+def _input_error(err: Exception | str) -> int:
     print(f"error: {err}", file=sys.stderr)
     return 2
 
 
 def cmd_unify(config: SessionConfig, s_text: str, t_text: str) -> int:
     """Unify two terms with the configured algorithm and print the result."""
+    unify = _UNIFIERS.get(config.algorithm)
+    if unify is None:
+        return _input_error(f"unknown algorithm {config.algorithm!r}")
     try:
         sig = _load_signature(config)
         s = parse_term(s_text, sig)
@@ -225,15 +240,7 @@ def cmd_unify(config: SessionConfig, s_text: str, t_text: str) -> int:
     def emit_step(ts: TraceStep) -> None:
         print(format_trace_step(ts))
 
-    trace = emit_step if config.trace else None
-    if config.algorithm == "classic":
-        outcome = classic_unify(s, t, trace)
-    elif config.algorithm == "efficient":
-        outcome = robinson_unify_efficient(s, t, trace)
-    elif config.algorithm == "mm":
-        outcome = solve_equations(EquationSet(((s, t),)))
-    else:
-        outcome = robinson_unify(s, t, trace)
+    outcome = unify(s, t, emit_step if config.trace else None)
 
     if isinstance(outcome, Unified):
         if config.output == "structured":
@@ -262,66 +269,40 @@ def cmd_unify(config: SessionConfig, s_text: str, t_text: str) -> int:
     return 1
 
 
-def cmd_utils(config: SessionConfig, subcommand: str, args: list[str]) -> int:
-    """Run one term/substitution utility; see the module docstring for codes."""
-    structured = config.output == "structured"
-    try:
-        sig = _load_signature(config)
-    except (ParseError, OSError) as err:
-        return _input_error(err)
-    try:
-        if subcommand == "positions":
-            term = parse_term(args[0], sig)
-            rendered = " ".join(format_position(p) for p in positions_of(term))
-            print(f"positions: {rendered}" if structured else rendered)
-            return 0
-        if subcommand == "subterm":
-            term = parse_term(args[0], sig)
-            pos = parse_position(args[1])
-        elif subcommand == "replace":
-            term = parse_term(args[0], sig)
-            pos = parse_position(args[1])
-            replacement = parse_term(args[2], sig)
-        elif subcommand == "apply":
-            subst = parse_subst(args[0], sig)
-            term = parse_term(args[1], sig)
-        elif subcommand == "compose":
-            first = parse_subst(args[0], sig)
-            second = parse_subst(args[1], sig)
-        elif subcommand == "match":
-            pattern = parse_term(args[0], sig)
-            target = parse_term(args[1], sig)
-        else:
-            raise ValueError(f"unknown subcommand {subcommand!r}")
-    except (ParseError, ValueError, OSError) as err:
-        return _input_error(err)
+def _show(structured: bool, field: str, text: str) -> int:
+    print(f"{field}: {text}" if structured else text)
+    return 0
 
-    if subcommand == "subterm":
-        try:
-            result = subterm_at(term, pos)
-        except InvalidPositionError as err:
-            print(f"error: {err}", file=sys.stderr)
-            return 1
-        print(f"term: {format_term(result)}" if structured else format_term(result))
-        return 0
-    if subcommand == "replace":
-        try:
-            result = replace_at(term, pos, replacement)
-        except InvalidPositionError as err:
-            print(f"error: {err}", file=sys.stderr)
-            return 1
-        print(f"term: {format_term(result)}" if structured else format_term(result))
-        return 0
-    if subcommand == "apply":
-        result = subst.apply(term)
-        print(f"term: {format_term(result)}" if structured else format_term(result))
-        return 0
-    if subcommand == "compose":
-        result = compose(first, second)
-        print(f"substitution: {result}" if structured else str(result))
-        return 0
-    # match
-    outcome = match_terms(pattern, target)
+
+# The utilities parse their arguments in order, so that the first bad one is
+# the one reported.
+def _positions(sig: Signature, structured: bool, term: str) -> int:
+    rendered = " ".join(format_position(p) for p in positions_of(parse_term(term, sig)))
+    return _show(structured, "positions", rendered)
+
+
+def _subterm(sig: Signature, structured: bool, term: str, position: str) -> int:
+    result = subterm_at(parse_term(term, sig), parse_position(position))
+    return _show(structured, "term", format_term(result))
+
+
+def _replace(sig: Signature, structured: bool, term: str, position: str, replacement: str) -> int:
+    result = replace_at(parse_term(term, sig), parse_position(position), parse_term(replacement, sig))
+    return _show(structured, "term", format_term(result))
+
+
+def _apply(sig: Signature, structured: bool, subst: str, term: str) -> int:
+    result = parse_subst(subst, sig).apply(parse_term(term, sig))
+    return _show(structured, "term", format_term(result))
+
+
+def _compose(sig: Signature, structured: bool, first: str, second: str) -> int:
+    result = compose(parse_subst(first, sig), parse_subst(second, sig))
+    return _show(structured, "substitution", str(result))
+
+
+def _match(sig: Signature, structured: bool, pattern: str, target: str) -> int:
+    outcome = match_terms(parse_term(pattern, sig), parse_term(target, sig))
     if isinstance(outcome, Matched):
         if structured:
             print("status: matched")
@@ -338,14 +319,31 @@ def cmd_utils(config: SessionConfig, subcommand: str, args: list[str]) -> int:
     return 1
 
 
-_UTIL_ARGS = {
-    "positions": ("term",),
-    "subterm": ("term", "position"),
-    "replace": ("term", "position", "replacement"),
-    "apply": ("subst", "term"),
-    "compose": ("subst", "subst2"),
-    "match": ("pattern", "target"),
+# Subcommand -> (argument names, handler); a handler returns the exit code.
+_UTILITIES: dict[str, tuple[tuple[str, ...], Callable[..., int]]] = {
+    "positions": (("term",), _positions),
+    "subterm": (("term", "position"), _subterm),
+    "replace": (("term", "position", "replacement"), _replace),
+    "apply": (("subst", "term"), _apply),
+    "compose": (("subst", "subst2"), _compose),
+    "match": (("pattern", "target"), _match),
 }
+
+
+def cmd_utils(config: SessionConfig, subcommand: str, args: list[str]) -> int:
+    """Run one term/substitution utility; see the module docstring for codes."""
+    entry = _UTILITIES.get(subcommand)
+    if entry is None:
+        return _input_error(f"unknown subcommand {subcommand!r}")
+    _, run = entry
+    try:
+        sig = _load_signature(config)
+        return run(sig, config.output == "structured", *args)
+    except InvalidPositionError as err:  # a ValueError, but the domain's "no"
+        print(f"error: {err}", file=sys.stderr)
+        return 1
+    except (ValueError, OSError) as err:
+        return _input_error(err)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -370,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_unify.add_argument("--trace", action="store_true", help="print one line per resolved conflict")
     common(p_unify)
 
-    for name, params in _UTIL_ARGS.items():
+    for name, (params, _) in _UTILITIES.items():
         p = sub.add_parser(name)
         for param in params:
             p.add_argument(param)
@@ -395,9 +393,12 @@ def main(argv: list[str] | None = None) -> int:
         trace=getattr(ns, "trace", False),
         output=ns.output,
     )
-    if ns.command == "unify":
-        return cmd_unify(config, ns.s, ns.t)
-    return cmd_utils(config, ns.command, [getattr(ns, a) for a in _UTIL_ARGS[ns.command]])
+    try:
+        if ns.command == "unify":
+            return cmd_unify(config, ns.s, ns.t)
+        return cmd_utils(config, ns.command, [getattr(ns, a) for a in _UTILITIES[ns.command][0]])
+    except RecursionError:  # parsing and most term walks recurse once per level
+        return _input_error("input nested too deeply")
 
 
 if __name__ == "__main__":

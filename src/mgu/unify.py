@@ -1,22 +1,20 @@
 """First-order unification by difference resolving.
 
-Three equivalent algorithms are provided.  All of them repeatedly locate the
-leftmost-outermost position where the two terms disagree, bind the variable
-found there, instantiate both terms and continue.  The one-variable link
-substitutions are collected in order and composed once, at the end; that
-gives the same substitution as composing each link into the unifier as it
-is made, without rewriting every earlier binding at every step.  The
-algorithms differ in bookkeeping:
+Three equivalent algorithms are provided, and they run one loop: find the
+leftmost-outermost position where the two terms disagree, resolve it with a
+one-variable link or stop with the failure cause found there, instantiate
+both terms and repeat.  The links are composed once, at the end; that gives
+the same substitution as composing each link into the unifier as it is
+made, without rewriting every earlier binding at every step.  The
+algorithms differ only in how they find the next conflict:
 
-- ``classic_unify`` resolves differences through ``sub_of_frst_diff``, whose
-  preconditions (a variable at the conflict, no occurrence of it in the
-  partner subterm) are checked dynamically and surface as Failed outcomes;
-- ``robinson_unify`` threads failure through ``link_of_frst_diff``, which
-  returns either a link substitution or a failure cause value;
-- ``robinson_unify_efficient`` additionally remembers where the last
-  conflict was fixed and rescans from there (``next_position``) instead of
-  from the root, since instantiation can never create a difference at or
-  left of a resolved position.
+- ``classic_unify`` and ``robinson_unify`` rescan from the root.  Their
+  steps are ``sub_of_frst_diff`` and ``link_of_frst_diff``; the first's
+  precondition violations (clash, occurs) are exactly the failure causes
+  the second returns as values, so one step serves both;
+- ``robinson_unify_efficient`` resumes right of the last resolved conflict
+  (``next_position``), since instantiation can never create a difference
+  at or left of a resolved position.
 
 Two applications of one symbol with different argument counts, which
 ``Signature.app`` never builds, make every algorithm raise ValueError.
@@ -93,6 +91,10 @@ class TraceStep:
 
 
 TraceFn = Callable[[TraceStep], None]
+# A conflict: its position and the two distinct subterms found there.
+_Conflict = tuple[Position, Term, Term]
+# Finds the next conflict, given the position of the one just resolved.
+_Scan = Callable[[Term, Term, Position], _Conflict | None]
 
 
 def describe_failure(cause: FailureCause) -> str:
@@ -183,15 +185,11 @@ def sub_of_frst_diff(s: Term, t: Term) -> Subst:
     variable when both sides are variables.  A variable occurring in its
     partner subterm means the inputs were not unifiable: NotUnifiableError.
     """
-    return singleton(*_sub_at(s, t, resolving_diff(s, t)))
-
-
-def _sub_at(s: Term, t: Term, p: Position) -> tuple[str, Term]:
-    """sub_of_frst_diff's binding for the position ``resolving_diff`` found."""
+    p = resolving_diff(s, t)
     link = _link(subterm_at(s, p), subterm_at(t, p), p)
     if isinstance(link, OccursCheck):  # resolving_diff has already ruled out a clash
         raise NotUnifiableError(link)
-    return link
+    return singleton(*link)
 
 
 def _link(sp: Term, tp: Term, pos: Position) -> tuple[str, Term] | FailureCause:
@@ -224,10 +222,9 @@ def _measure(s: Term, t: Term) -> int:
 class _Run:
     """The links one unification has made so far, in order.
 
-    All three algorithms resolve a difference the same way once they have
-    found it: instantiate both terms with the link, record it, and report
-    the step to the trace.  The accumulated unifier is built only at the
-    end, by ``unified``.
+    ``resolve`` instantiates both terms with a link, records it and reports
+    the step to the trace; the unifier is built only at the end, by
+    ``unified``.
     """
 
     __slots__ = ("links", "trace", "vars_now")
@@ -262,37 +259,6 @@ class _Run:
         for x, u in reversed(self.links):
             table[x] = u if done.isdisjoint(u.vars) else _instantiate(u, table, done, {})
         return Unified(Subst(table), len(self.links))
-
-
-def classic_unify(s: Term, t: Term, trace: TraceFn | None = None) -> UnifyOutcome:
-    """Unify by repeated sub_of_frst_diff steps.
-
-    Equal terms unify with the identity; otherwise the first difference is
-    resolved, both terms are instantiated, and the process repeats, with the
-    resolving substitutions composed right to left.  Precondition violations
-    inside a step (clash, occurs) become Failed outcomes.
-    """
-    run = _Run(s, t, trace)
-    while s != t:
-        try:
-            p = resolving_diff(s, t)
-            link = _sub_at(s, t, p)
-        except NotUnifiableError as err:
-            return Failed(err.cause)
-        s, t = run.resolve(s, t, p, link)
-    return run.unified()
-
-
-def robinson_unify(s: Term, t: Term, trace: TraceFn | None = None) -> UnifyOutcome:
-    """Unify by repeated link_of_frst_diff steps; failure causes propagate."""
-    run = _Run(s, t, trace)
-    while s != t:
-        p = first_diff(s, t)
-        link = _link(subterm_at(s, p), subterm_at(t, p), p)
-        if not isinstance(link, tuple):
-            return Failed(link)
-        s, t = run.resolve(s, t, p, link)
-    return run.unified()
 
 
 def next_position(s: Term, t: Term, p: Position) -> Position:
@@ -336,38 +302,70 @@ def _next_position(s: Term, t: Term, p: Position) -> Position:
     return ROOT
 
 
-def robinson_unify_efficient(s: Term, t: Term, trace: TraceFn | None = None) -> UnifyOutcome:
-    """Like robinson_unify, but rescans from the last resolved conflict.
+def _unify(s: Term, t: Term, trace: TraceFn | None, rescan: _Scan) -> UnifyOutcome:
+    """The loop of all three algorithms: find a conflict, resolve it, repeat.
 
-    After fixing the conflict inside position ``p``, instantiation cannot
-    introduce a difference at or to the left of it, so the search resumes
-    with ``next_position`` from the exact conflict spot instead of walking
-    the whole instantiated terms again.  Produces the same outcome, and on
-    success the same substitution, as the other two algorithms.
+    The first conflict is searched from the root; after each resolved
+    conflict, ``rescan`` finds the next one.
     """
     run = _Run(s, t, trace)
-    # The variable count bounds the number of conflicts and the position
-    # count bounds the scan between conflicts; exceeding their product
-    # means the position bookkeeping is broken, never that input was bad.
-    limit = term_size(s) * (_measure(s, t) + 1) + 1
-    p: Position = ROOT
-    for _ in range(limit):
-        sp, tp = subterm_at(s, p), subterm_at(t, p)
-        if sp == tp:
-            p = _next_position(s, t, p)
-            if p == ROOT:
-                return run.unified()
-            continue
-        q = first_diff(sp, tp)
-        conflict = p + q
-        link = _link(subterm_at(sp, q), subterm_at(tp, q), conflict)
+    conflict = _scan_from_root(s, t, ROOT)
+    while conflict is not None:
+        p, sp, tp = conflict
+        link = _link(sp, tp, p)
         if not isinstance(link, tuple):
             return Failed(link)
-        s, t = run.resolve(s, t, conflict, link)
-        p = _next_position(s, t, conflict)
+        s, t = run.resolve(s, t, p, link)
+        conflict = rescan(s, t, p)
+    return run.unified()
+
+
+def _scan_from_root(s: Term, t: Term, resolved: Position) -> _Conflict | None:
+    """The first conflict of the whole terms, wherever the last one was."""
+    if s == t:
+        return None
+    p = first_diff(s, t)
+    return p, subterm_at(s, p), subterm_at(t, p)
+
+
+def _scan_right(s: Term, t: Term, resolved: Position) -> _Conflict | None:
+    """The first conflict strictly right of the one just resolved; none once
+    the scan climbs back to the root, without comparing the whole terms."""
+    p = _next_position(s, t, resolved)
+    # Each step moves strictly right, so the positions of s bound the scan;
+    # passing them means the position bookkeeping is broken, never the input.
+    for _ in range(term_size(s) + 1):
         if p == ROOT:
-            return run.unified()
+            return None
+        sp, tp = subterm_at(s, p), subterm_at(t, p)
+        if sp != tp:
+            q = first_diff(sp, tp)
+            return p + q, subterm_at(sp, q), subterm_at(tp, q)
+        p = _next_position(s, t, p)
     raise RuntimeError("position scan failed to terminate: internal bug")
+
+
+def classic_unify(s: Term, t: Term, trace: TraceFn | None = None) -> UnifyOutcome:
+    """Unify by repeated sub_of_frst_diff steps, rescanning from the root.
+
+    Equal terms unify with the identity; otherwise the first difference is
+    resolved, both terms are instantiated, and the process repeats.  The
+    failures are sub_of_frst_diff's precondition violations (clash, occurs)
+    turned into values.
+    """
+    return _unify(s, t, trace, _scan_from_root)
+
+
+def robinson_unify(s: Term, t: Term, trace: TraceFn | None = None) -> UnifyOutcome:
+    """Unify by repeated link_of_frst_diff steps; failure causes propagate."""
+    return _unify(s, t, trace, _scan_from_root)
+
+
+def robinson_unify_efficient(s: Term, t: Term, trace: TraceFn | None = None) -> UnifyOutcome:
+    """Like robinson_unify, but resumes the search for the next conflict
+    with ``next_position`` from the last resolved one, instead of walking
+    the whole instantiated terms again.  Same outcome and substitution."""
+    return _unify(s, t, trace, _scan_right)
 
 
 def unifiable(s: Term, t: Term) -> bool:

@@ -205,6 +205,10 @@ class TestCmdUnify:
         assert cmd_unify(config, "X", "g(a)") == 0
         assert capsys.readouterr().out == "{X -> g(a)}\n"
 
+    def test_unknown_algorithm_directly(self, capsys):
+        assert cmd_unify(SessionConfig(algorithm="zzz"), "X", "Y") == 2
+        assert capsys.readouterr() == ("", "error: unknown algorithm 'zzz'\n")
+
 
 class TestCmdUtils:
     def test_positions(self, sig_file, capsys):
@@ -335,3 +339,136 @@ def test_cold_entry_point(sig_file):
         env=env, capture_output=True, text=True, timeout=60,
     )
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "{X -> g(Z), Y -> Z}\n", "")
+
+
+# Golden CLI bytes, so that no change to parsing or dispatch alters an output:
+# (arguments, exit code, text stdout, structured stdout, stderr).
+_UNIFIED = "{X -> g(Z), Y -> Z}"
+_STEPS = "step 1: pos=1 bind X -> g(Z) vars 3 -> 2\nstep 2: pos=2.1 bind Y -> Z vars 2 -> 1\n"
+_CLASH = "status: fail\ncause: clash\nleft: a\nright: b\nposition: 2\n"
+_OCCURS = "status: fail\ncause: occurs\nvariable: Y\nterm: g(Y)\nposition: 2\n"
+GOLDEN_UNIFY = [
+    (["f(X, g(Y))", "f(g(Z), X)"], 0, f"{_UNIFIED}\n", f"status: unified\nmgu: {_UNIFIED}\nsteps: 2\n", ""),
+    (["f(X, a)", "f(b, X)"], 1, "fail: clash a vs b at 2\n", _CLASH, ""),
+    (["f(X, Y)", "f(Y, g(X))"], 1, "fail: occurs Y in g(Y) at 2\n", _OCCURS, ""),
+    (["f(X", "a"], 2, "", "", "error: offset 3: unexpected end of input\n"),
+    (["h(X)", "X"], 2, "", "", "error: offset 0: unknown symbol 'h'\n"),
+]
+# The same pairs with --trace, for the three paper algorithms; mm has no trace.
+GOLDEN_UNIFY_TRACE = [
+    (["f(X, g(Y))", "f(g(Z), X)"], 0, f"{_STEPS}result: {_UNIFIED}\n",
+     f"{_STEPS}status: unified\nmgu: {_UNIFIED}\nsteps: 2\n", ""),
+    (["f(X, a)", "f(b, X)"], 1, "step 1: pos=1 bind X -> b vars 1 -> 0\nfail: clash a vs b at 2\n",
+     f"step 1: pos=1 bind X -> b vars 1 -> 0\n{_CLASH}", ""),
+    (["f(X, Y)", "f(Y, g(X))"], 1, "step 1: pos=1 bind X -> Y vars 2 -> 1\nfail: occurs Y in g(Y) at 2\n",
+     f"step 1: pos=1 bind X -> Y vars 2 -> 1\n{_OCCURS}", ""),
+]
+GOLDEN_MM_TRACE = [
+    (["f(X, g(Y))", "f(g(Z), X)"], 0, f"result: {_UNIFIED}\n", f"status: unified\nmgu: {_UNIFIED}\nsteps: 2\n", ""),
+    (["f(X, a)", "f(b, X)"], 1, "fail: clash a vs b at 2\n", _CLASH, ""),
+]
+_NOT_A_POSITION = "error: not a position: '{}' (indices are 1-based, root is 'e')\n"
+_F_ARITY = "error: offset 0: arity mismatch for 'f': expected 2 argument(s), found 1\n"
+# positions, apply and compose have no domain "no": they succeed on every input that parses.
+GOLDEN_UTILS = [
+    (["positions", "f(X, g(a))"], 0, "e 1 2 2.1\n", "positions: e 1 2 2.1\n", ""),
+    (["positions", "f(X, g(a)"], 2, "", "", "error: offset 9: unexpected end of input\n"),
+    (["subterm", "f(X, g(a))", "2.1"], 0, "a\n", "term: a\n", ""),
+    (["subterm", "f(X, g(a))", "1.1"], 1, "", "",
+     "error: invalid position 1.1 in f(X,g(a)): no subterm at 1.1\n"),
+    (["subterm", "f(X, g(a))", "0"], 2, "", "", _NOT_A_POSITION.format("0")),
+    (["subterm", "f(X", "0"], 2, "", "", "error: offset 3: unexpected end of input\n"),
+    (["replace", "f(X, g(a))", "2.1", "b"], 0, "f(X,g(b))\n", "term: f(X,g(b))\n", ""),
+    (["replace", "f(X, g(a))", "3", "b"], 1, "", "", "error: invalid position 3 in f(X,g(a)): no subterm at 3\n"),
+    (["replace", "f(X, g(a))", "1", "c"], 2, "", "", "error: offset 0: unknown symbol 'c'\n"),
+    (["replace", "f(X, g(a))", "x", "c"], 2, "", "", _NOT_A_POSITION.format("x")),
+    (["apply", "{X -> a}", "f(X, Y)"], 0, "f(a,Y)\n", "term: f(a,Y)\n", ""),
+    (["apply", "{a -> b}", "X"], 2, "", "", "error: offset 1: expected a variable, got 'a'\n"),
+    (["apply", "{X -> a}", "f(X)"], 2, "", "", _F_ARITY),
+    (["compose", "{X -> a}", "{Y -> f(X, X)}"], 0, "{X -> a, Y -> f(a,a)}\n", "substitution: {X -> a, Y -> f(a,a)}\n", ""),
+    (["compose", "{X -> a", "{}"], 2, "", "", "error: offset 7: unexpected end of input\n"),
+    (["match", "g(X)", "g(f(a, b))"], 0, "{X -> f(a,b)}\n", "status: matched\nwitness: {X -> f(a,b)}\n", ""),
+    (["match", "f(X, X)", "f(a, b)"], 1, "no match: inconsistent-binding at 2\n",
+     "status: no-match\nreason: inconsistent-binding\nposition: 2\n", ""),
+    (["match", "g(a)", "g(b)"], 1, "no match: clash at 1\n", "status: no-match\nreason: clash\nposition: 1\n", ""),
+    (["match", "f(a)", "g(a)"], 2, "", "", _F_ARITY),
+]
+
+
+def _golden_params(rows, *flags):
+    return [
+        pytest.param([*argv, *flags, "--output", mode], code, text if mode == "text" else structured, err,
+                     id=f"{' '.join(argv)}|{mode}")
+        for argv, code, text, structured, err in rows
+        for mode in ("text", "structured")
+    ]
+
+
+class TestGolden:
+    """Exact exit codes, stdout and stderr for every subcommand and output mode."""
+
+    @pytest.mark.parametrize("algorithm", ["classic", "robinson", "efficient", "mm"])
+    @pytest.mark.parametrize("argv, code, out, err", _golden_params(GOLDEN_UNIFY))
+    def test_unify(self, sig_file, capsys, algorithm, argv, code, out, err):
+        assert main(["unify", *argv, "--algorithm", algorithm, "--sig", sig_file]) == code
+        assert capsys.readouterr() == (out, err)
+
+    @pytest.mark.parametrize("algorithm", ["classic", "robinson", "efficient"])
+    @pytest.mark.parametrize("argv, code, out, err", _golden_params(GOLDEN_UNIFY_TRACE, "--trace"))
+    def test_unify_trace(self, sig_file, capsys, algorithm, argv, code, out, err):
+        assert main(["unify", *argv, "--algorithm", algorithm, "--sig", sig_file]) == code
+        assert capsys.readouterr() == (out, err)
+
+    @pytest.mark.parametrize("argv, code, out, err", _golden_params(GOLDEN_MM_TRACE, "--trace"))
+    def test_unify_mm_trace(self, sig_file, capsys, argv, code, out, err):
+        assert main(["unify", *argv, "--algorithm", "mm", "--sig", sig_file]) == code
+        assert capsys.readouterr() == (out, err)
+
+    @pytest.mark.parametrize("argv, code, out, err", _golden_params(GOLDEN_UTILS))
+    def test_utils(self, sig_file, capsys, argv, code, out, err):
+        assert main([*argv, "--sig", sig_file]) == code
+        assert capsys.readouterr() == (out, err)
+
+    @pytest.mark.parametrize("subcommand", ["nope", "unify"])
+    def test_unknown_utility(self, sig_file, capsys, subcommand):
+        assert cmd_utils(SessionConfig(signature_path=sig_file), subcommand, []) == 2
+        assert capsys.readouterr() == ("", f"error: unknown subcommand {subcommand!r}\n")
+
+
+def _run_cli(*argv):
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    return subprocess.run([sys.executable, "-m", "mgu.cli", *argv], env=env,
+                          capture_output=True, text=True, timeout=60)
+
+
+class TestDeepInput:
+    """Input nested past the interpreter's recursion limit is an input error, not a crash."""
+
+    @pytest.fixture
+    def deep_sig(self, tmp_path):
+        path = tmp_path / "deep.sig"
+        path.write_text("g/1\na/0\n")
+        return str(path)
+
+    @staticmethod
+    def chain(depth, leaf):
+        return "g(" * depth + leaf + ")" * depth
+
+    def assert_too_deep(self, proc):
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == "error: input nested too deeply\n"
+
+    def test_unify_3000_deep(self, deep_sig):
+        self.assert_too_deep(_run_cli("unify", self.chain(3000, "X"), self.chain(3000, "a"), "--sig", deep_sig))
+
+    def test_positions_3000_deep(self, deep_sig):
+        self.assert_too_deep(_run_cli("positions", self.chain(3000, "X"), "--sig", deep_sig))
+
+    def test_robinson_400_deep(self, deep_sig):
+        self.assert_too_deep(_run_cli("unify", self.chain(400, "X"), self.chain(400, "a"), "--sig", deep_sig))
+
+    def test_efficient_400_deep_still_unifies(self, deep_sig):
+        proc = _run_cli("unify", self.chain(400, "X"), self.chain(400, "a"), "--sig", deep_sig,
+                        "--algorithm", "efficient")
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "{X -> a}\n", "")

@@ -338,3 +338,27 @@ def test_deferred_composition_equals_eager_fold(pair):
                 eager = compose(singleton(*ts.binding), eager)
             assert out.steps == len(steps)
             assert out.mgu == eager
+
+
+def _run_traced(algorithm, s, t):
+    steps = []
+    return algorithm(s, t, trace=steps.append), steps
+
+
+@st.composite
+def any_pair_over_five_vars(draw):
+    u = SIG3.app("h", draw(_terms5), draw(_terms5), draw(_terms5))
+    v = SIG3.app("h", draw(_terms5), draw(_terms5), draw(_terms5))
+    return u, v
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(term_against_instance(), any_pair_over_five_vars()))
+@example((SIG3.app("h", Var("X"), Var("Y"), Var("X")),
+          SIG3.app("h", SIG3.app("f", Var("Y"), Var("Z")), SIG3.app("g", Var("X")), Var("V"))))
+def test_three_algorithms_are_one(pair):
+    """Same outcome (mgu and steps, or failure cause and position) and trace."""
+    s, t = pair
+    reference = _run_traced(robinson_unify, s, t)
+    assert _run_traced(classic_unify, s, t) == reference
+    assert _run_traced(robinson_unify_efficient, s, t) == reference

@@ -1,6 +1,6 @@
 import pytest
 
-from mgu.oracle import EquationSet, solve_equations
+from mgu.oracle import EnumBound, EquationSet, enum_terms, solve_equations
 from mgu.substitution import Subst, compose, identity, singleton
 from mgu.terms import App, InvalidPositionError, ROOT, Signature, Var
 from mgu.unify import (
@@ -28,6 +28,7 @@ from mgu.unify import (
 SIG = Signature({"a": 0, "b": 0, "c": 0, "f": 2, "g": 1})
 X, Y, Z = Var("X"), Var("Y"), Var("Z")
 a, b, c = SIG.app("a"), SIG.app("b"), SIG.app("c")
+SIG_ACCEPT = Signature({"f": 2, "g": 1, "a": 0, "b": 0})
 
 
 def f(u, v):
@@ -218,6 +219,24 @@ def eager_fold(steps):
     for ts in steps:
         acc = compose(singleton(*ts.binding), acc)
     return acc
+
+
+class TestOneAlgorithm:
+    """The three algorithms differ only in how they scan for the next conflict."""
+
+    def test_universe_slice_outcomes_and_traces_agree(self):
+        universe = enum_terms(EnumBound(2, ("X", "Y"), SIG_ACCEPT))
+        assert len(universe) == 604
+        mismatches = []
+        for s in universe[::11]:
+            for t in universe:
+                runs = []
+                for algorithm in ALGORITHMS:
+                    steps = []
+                    runs.append((algorithm(s, t, trace=steps.append), steps))
+                if runs[1:] != runs[:-1]:
+                    mismatches.append((s, t))
+        assert mismatches == []
 
 
 class TestSharedStructure:
