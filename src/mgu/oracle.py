@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .substitution import Subst, singleton
-from .terms import App, Position, ROOT, Signature, Term, Var
+from .terms import App, Position, Signature, Term, Var
 from .unify import Clash, Failed, OccursCheck, Unified, UnifyOutcome, _ill_formed, is_unifier
 
 
@@ -58,6 +58,21 @@ class EnumBound:
         object.__setattr__(self, "signature", signature)
 
 
+# A position as a chain of (parent, index) links, the root being None: a
+# child's link costs one pair, not a copy of its parent's position.
+_Link = tuple["_Link", int] | None
+
+
+def _position(link: _Link) -> Position:
+    """The position a chain of links stands for."""
+    out: list[int] = []
+    while link is not None:
+        link, i = link
+        out.append(i)
+    out.reverse()
+    return tuple(out)
+
+
 def solve_equations(eqs: EquationSet) -> UnifyOutcome:
     """Unify a whole equation system; returns an idempotent mgu or a failure.
 
@@ -69,13 +84,13 @@ def solve_equations(eqs: EquationSet) -> UnifyOutcome:
     different argument counts are ill-formed: ValueError, as in
     ``first_diff``.
     """
-    work: deque[tuple[Term, Term, Position]] = deque(
-        (s, t, ROOT) for s, t in eqs.equations
+    work: deque[tuple[Term, Term, _Link]] = deque(
+        (s, t, None) for s, t in eqs.equations
     )
     solution: dict[str, Term] = {}
     steps = 0
     while work:
-        s, t, pos = work.popleft()
+        s, t, link = work.popleft()
         if s == t:
             continue
         if isinstance(s, Var):
@@ -84,16 +99,16 @@ def solve_equations(eqs: EquationSet) -> UnifyOutcome:
             x, u = t, s
         else:  # two applications
             if s.symbol != t.symbol:
-                return Failed(Clash(pos, s.symbol, t.symbol))
+                return Failed(Clash(_position(link), s.symbol, t.symbol))
             if len(s.args) != len(t.args):
                 raise _ill_formed(s, t)
             work.extendleft(
-                (a, b, pos + (i,))
+                (a, b, (link, i))
                 for i, (a, b) in reversed(list(enumerate(zip(s.args, t.args), start=1)))
             )
             continue
         if x.name in u.vars:
-            return Failed(OccursCheck(x.name, u, pos))
+            return Failed(OccursCheck(x.name, u, _position(link)))
         elim = singleton(x.name, u)
         work = deque((elim.apply(a), elim.apply(b), q) for a, b, q in work)
         for solved in solution:

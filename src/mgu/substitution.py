@@ -9,7 +9,7 @@ restriction and the generality pre-order are built on top of that.
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping, Set as AbstractSet
+from collections.abc import Iterable, Iterator, Mapping, Set as AbstractSet
 from dataclasses import dataclass
 
 from .terms import App, Position, ROOT, Term, Var, is_variable_name
@@ -121,24 +121,45 @@ class Subst:
 
 
 def _instantiate(
-    t: Term, table: Mapping[str, Term], dom: AbstractSet[str], memo: dict[int, Term]
+    t: Term, table: Mapping[str, Term], dom: AbstractSet[str], memo: dict[int, tuple[App, App]]
 ) -> Term:
     """``t``, which has a variable in ``dom``, with each such variable replaced
     by its image in ``table``.
 
     ``memo`` maps the id of every application node already instantiated in
-    this pass to its image; the caller keeps the input term, and with it
-    every key, alive for as long as the memo is used.
+    this pass to the node and its image.  Holding the node keeps its id from
+    being reused while the memo lives, even if an equality test elsewhere
+    makes its parent adopt an equal argument tuple meanwhile.  The walk
+    keeps its own stack of frames, each an application being rebuilt, an
+    iterator over its remaining arguments and the images of the arguments
+    so far, so depth costs no interpreter frames.
     """
     if isinstance(t, Var):
         return table[t.name]
-    out = memo.get(id(t))
-    if out is None:
-        args = []
-        for a in t.args:
-            args.append(a if dom.isdisjoint(a.vars) else _instantiate(a, table, dom, memo))
-        out = memo[id(t)] = App(t.symbol, args)
-    return out
+    hit = memo.get(id(t))
+    if hit is not None:
+        return hit[1]
+    frames: list[tuple[App, Iterator[Term], list[Term]]] = []
+    node, rest, args = t, iter(t.args), []
+    while True:
+        for a in rest:
+            if dom.isdisjoint(a.vars):
+                args.append(a)
+            elif type(a) is Var:
+                args.append(table[a.name])
+            elif id(a) in memo:
+                args.append(memo[id(a)][1])
+            else:
+                frames.append((node, rest, args))
+                node, rest, args = a, iter(a.args), []
+                break
+        else:
+            out = App(node.symbol, args)
+            memo[id(node)] = node, out
+            if not frames:
+                return out
+            node, rest, args = frames.pop()
+            args.append(out)
 
 
 def identity() -> Subst:

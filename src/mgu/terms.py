@@ -7,6 +7,17 @@ construction so that equality tests, occurs checks and termination measures
 do not rewalk the tree.  Nodes are never interned; instantiation shares
 repeated subterms.
 
+Equality walks the two terms with an explicit stack, so depth costs no
+interpreter frames.  Once two distinct applications are found equal, the
+first adopts the second's argument tuple: the tuple holds equal values, so
+no value, hash or printed form changes, but the pair, and every pair that
+reaches it again, now ends at ``args is``.  Comparing two separately built
+copies of a shared chain is therefore linear in its distinct nodes, and a
+rescan compares the already resolved part of two terms in constant time per
+node on its way to the next difference.  Applications of at most
+``_SMALL`` nodes are compared by tuple comparison instead, which is faster
+on them and recurses at most ``_SMALL`` levels whatever the input.
+
 A position is a tuple of 1-based child indices; ``()`` is the root.  The
 textual form is dot-separated indices with ``e`` for the root, e.g. ``2.1``.
 """
@@ -20,6 +31,12 @@ Position = tuple[int, ...]
 ROOT: Position = ()
 
 _NO_VARS: frozenset[str] = frozenset()
+
+# Tree size up to which ``==`` compares argument tuples directly: the
+# built-in comparison beats the walk on small terms (the acceptance
+# universe has at most 7 nodes), and its recursion through ``App.__eq__``
+# is bounded by the size, so by this constant.
+_SMALL = 16
 
 
 def is_variable_name(name: str) -> bool:
@@ -113,33 +130,87 @@ class App(Term):
         args = tuple(args)
         self.symbol = symbol
         self.args = args
-        if not args:
-            self.vars = _NO_VARS
-            self.size = 1
-        else:
-            vs = args[0].vars
-            size = 1 + args[0].size
-            for a in args[1:]:
-                vs |= a.vars
-                size += a.size
-            self.vars = vs
-            self.size = size
+        vs = _NO_VARS
+        size = 1
+        for a in args:
+            size += a.size
+            if a.vars:
+                vs = vs | a.vars if vs else a.vars
+        self.vars = vs
+        self.size = size
         self._hash = hash(("app", symbol, args))
 
     def __eq__(self, other: object):
+        """Structural equality, with at most ``_SMALL`` levels of recursion
+        however deep the terms.
+
+        Every pair of applications of more than ``_SMALL`` nodes found
+        equal on the way adopts one argument tuple (see the module
+        docstring).  The store replaces a tuple by an equal one in a single
+        step, so a concurrent reader sees one of two equal tuples and terms
+        stay safe to share across threads.
+        """
         if self is other:
             return True
         if type(other) is not App:
             return NotImplemented
-        if self._hash != other._hash:
+        if self._hash != other._hash or self.symbol != other.symbol:
             return False
-        return self.symbol == other.symbol and self.args == other.args
+        if self.args is other.args:
+            return True
+        if self.size <= _SMALL:
+            return self.args == other.args
+        return _equal_args(self, other)
 
     def __hash__(self) -> int:
         return self._hash
 
     def __repr__(self) -> str:
         return format_term(self)
+
+
+def _equal_args(s: App, t: App) -> bool:
+    """Whether two applications of one symbol have equal arguments.
+
+    A frame is a pair of applications and the index of its next argument
+    pair; arguments are compared left to right, depth first, and a pair of
+    at most ``_SMALL`` nodes by tuple comparison.  A frame whose arguments
+    were all found equal makes its left node adopt the right node's tuple.
+    """
+    frames: list[tuple[App, App, int]] = []
+    a, b, i = s, t, 0
+    while True:
+        xs, ys = a.args, b.args
+        n = len(xs)
+        if n != len(ys):
+            return False
+        while i < n:
+            x, y = xs[i], ys[i]
+            i += 1
+            if x is y:
+                continue
+            kind = type(x)
+            if kind is not type(y) or x._hash != y._hash:
+                return False
+            if kind is not App:
+                if x != y:
+                    return False
+            elif x.symbol != y.symbol:
+                return False
+            elif x.args is y.args:
+                continue
+            elif x.size <= _SMALL:
+                if x.args != y.args:
+                    return False
+            else:
+                frames.append((a, b, i))
+                a, b, i = x, y, 0
+                break
+        else:
+            a.args = ys
+            if not frames:
+                return True
+            a, b, i = frames.pop()
 
 
 class Signature:

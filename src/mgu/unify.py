@@ -16,6 +16,13 @@ algorithms differ only in how they find the next conflict:
   (``next_position``), since instantiation can never create a difference
   at or left of a resolved position.
 
+Every walk in the loop (equality past 16 nodes, instantiation, both scans)
+is iterative and builds a position once, as a list turned into a tuple, so
+the depth of the terms costs neither interpreter frames nor repeated tuple
+copies.  A rescan from the root meets the resolved part again as pairs
+that ``==`` has already made share their arguments: one identity test per
+pair of more than 16 nodes.
+
 Two applications of one symbol with different argument counts, which
 ``Signature.app`` never builds, make every algorithm raise ValueError.
 
@@ -40,7 +47,6 @@ from .terms import (
     format_position,
     is_valid_position,
     subterm_at,
-    term_size,
 )
 
 
@@ -147,16 +153,16 @@ def first_diff(s: Term, t: Term) -> Position:
     """
     if s == t:
         raise ValueError("first_diff requires distinct terms")
-    pos: Position = ROOT
+    pos: list[int] = []
     while type(s) is App and type(t) is App and s.symbol == t.symbol:
         for i, (a, b) in enumerate(zip(s.args, t.args), start=1):
             if a != b:
-                pos += (i,)
+                pos.append(i)
                 s, t = a, b
                 break
         else:  # same symbol, no differing argument: ill-formed arities
             raise _ill_formed(s, t)
-    return pos
+    return tuple(pos)
 
 
 def _ill_formed(s: App, t: App) -> ValueError:
@@ -235,9 +241,15 @@ class _Run:
         self.vars_now = _measure(s, t) if trace is not None else 0
 
     def resolve(self, s: Term, t: Term, p: Position, link: tuple[str, Term]) -> tuple[Term, Term]:
-        """Both terms instantiated by the link found at ``p``."""
-        sig = singleton(*link)
-        s, t = sig.apply(s), sig.apply(t)
+        """Both terms instantiated by the link found at ``p``, with one memo,
+        so a subterm the two share is instantiated once."""
+        x, u = link
+        table = {x: u}
+        dom, memo = table.keys(), {}
+        s, t = (
+            _instantiate(s, table, dom, memo) if x in s.vars else s,
+            _instantiate(t, table, dom, memo) if x in t.vars else t,
+        )
         self.links.append(link)
         if self.trace is not None:
             vars_before, self.vars_now = self.vars_now, _measure(s, t)
@@ -281,24 +293,26 @@ def next_position(s: Term, t: Term, p: Position) -> Position:
 
 def _next_position(s: Term, t: Term, p: Position) -> Position:
     # The pairs of subterms at the proper prefixes of p, root first: one
-    # walk down, then the climb pops them.
+    # walk down, then the climb pops them, and ``path`` with them: after
+    # each pop, ``path`` is the position of the pair just popped.
     spine = [(s, t)]
     for i in p[:-1]:
         s, t = s.args[i - 1], t.args[i - 1]
         spine.append((s, t))
-    while p:
+    path = list(p)
+    while path:
         sp, tp = spine.pop()
-        parent = p[:-1]
+        last = path.pop()
         if not (isinstance(sp, App) and isinstance(tp, App)):
-            raise RuntimeError(f"next_position: parent of {p} is a leaf (internal bug)")
+            raise RuntimeError(f"next_position: parent of {(*path, last)} is a leaf (internal bug)")
         if sp.symbol != tp.symbol:
-            return parent
+            return tuple(path)
         if len(sp.args) != len(tp.args):
             raise _ill_formed(sp, tp)
-        for i in range(p[-1], len(sp.args)):
+        for i in range(last, len(sp.args)):
             if sp.args[i] != tp.args[i]:
-                return parent + (i + 1,)
-        p = parent
+                path.append(i + 1)
+                return tuple(path)
     return ROOT
 
 
@@ -330,19 +344,18 @@ def _scan_from_root(s: Term, t: Term, resolved: Position) -> _Conflict | None:
 
 def _scan_right(s: Term, t: Term, resolved: Position) -> _Conflict | None:
     """The first conflict strictly right of the one just resolved; none once
-    the scan climbs back to the root, without comparing the whole terms."""
+    the scan climbs back to the root, without comparing the whole terms.
+
+    ``_next_position`` returns the root or a position whose subterms it has
+    just found different, so one resumption suffices; ``first_diff`` still
+    raises ValueError should the two subterms there be equal after all.
+    """
     p = _next_position(s, t, resolved)
-    # Each step moves strictly right, so the positions of s bound the scan;
-    # passing them means the position bookkeeping is broken, never the input.
-    for _ in range(term_size(s) + 1):
-        if p == ROOT:
-            return None
-        sp, tp = subterm_at(s, p), subterm_at(t, p)
-        if sp != tp:
-            q = first_diff(sp, tp)
-            return p + q, subterm_at(sp, q), subterm_at(tp, q)
-        p = _next_position(s, t, p)
-    raise RuntimeError("position scan failed to terminate: internal bug")
+    if p == ROOT:
+        return None
+    sp, tp = subterm_at(s, p), subterm_at(t, p)
+    q = first_diff(sp, tp)
+    return p + q, subterm_at(sp, q), subterm_at(tp, q)
 
 
 def classic_unify(s: Term, t: Term, trace: TraceFn | None = None) -> UnifyOutcome:

@@ -10,7 +10,7 @@ from mgu.oracle import (
 )
 from mgu.substitution import Subst, identity, more_general
 from mgu.terms import Signature, Var
-from mgu.unify import Failed, OccursCheck, Unified, is_unifier, robinson_unify
+from mgu.unify import Clash, Failed, OccursCheck, Unified, is_unifier, robinson_unify
 
 SIG = Signature({"a": 0, "b": 0, "f": 2, "g": 1})
 X, Y, Z = Var("X"), Var("Y"), Var("Z")
@@ -32,6 +32,12 @@ class TestSolveEquations:
     def test_occurs_check(self):
         out = solve_equations(EquationSet([(X, g(X))]))
         assert out == Failed(OccursCheck("X", g(X), ()))
+
+    def test_failure_positions_read_from_the_root(self):
+        clash = solve_equations(EquationSet([(f(a, f(g(a), X)), f(a, f(g(b), Y)))]))
+        assert clash == Failed(Clash((2, 1, 1), "a", "b"))
+        occurs = solve_equations(EquationSet([(f(a, f(g(X), b)), f(a, f(g(g(X)), b)))]))
+        assert occurs == Failed(OccursCheck("X", g(X), (2, 1, 1)))
 
     def test_agrees_with_robinson_on_flagship(self):
         s, t = f(X, g(Y)), f(g(Z), X)

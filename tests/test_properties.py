@@ -11,11 +11,14 @@ from mgu.oracle import (
 )
 from mgu.substitution import Subst, compose, identity, more_general, singleton
 from mgu.terms import (
+    App,
     Signature,
     Var,
     concat,
+    format_term,
     is_valid_position,
     positions_of,
+    replace_at,
     subterm_at,
     term_size,
     vars_of,
@@ -362,3 +365,75 @@ def test_three_algorithms_are_one(pair):
     reference = _run_traced(robinson_unify, s, t)
     assert _run_traced(classic_unify, s, t) == reference
     assert _run_traced(robinson_unify_efficient, s, t) == reference
+
+
+def _copy(t, memo=None):
+    """A term equal to ``t`` built of fresh nodes; with a memo, shared where ``t`` shares."""
+    if isinstance(t, Var):
+        return Var(t.name)
+    if memo is not None and id(t) in memo:
+        return memo[id(t)]
+    out = App(t.symbol, [_copy(u, memo) for u in t.args])
+    if memo is not None:
+        memo[id(t)] = out
+    return out
+
+
+# Up to about 60 nodes, so that ``==`` walks the larger pairs and compares
+# the smaller ones by tuple comparison.
+_terms_to_compare = st.recursive(
+    _leaves5,
+    lambda c: st.one_of(
+        st.builds(lambda u: SIG3.app("g", u), c),
+        st.builds(lambda u, v: SIG3.app("f", u, v), c, c),
+        st.builds(lambda u, v, w: SIG3.app("h", u, v, w), c, c, c),
+        st.builds(lambda u, v: SIG3.app("h", u, v, u), c, c),
+    ),
+    max_leaves=20,
+)
+
+
+@st.composite
+def comparable_pairs(draw):
+    """Pairs of terms over an arity-3 symbol with repeated subterms: fresh
+    copies (shared where the original shares, or not), copies mixed with the
+    original inside one term, one subterm replaced, or two unrelated terms."""
+    u = draw(_terms_to_compare)
+    kind = draw(st.sampled_from(("copy", "shared copy", "mixed", "replaced", "other")))
+    if kind == "copy":
+        v = _copy(u)
+    elif kind == "shared copy":
+        v = _copy(u, {})
+    elif kind == "mixed":
+        u, v = SIG3.app("h", u, _copy(u), u), SIG3.app("h", _copy(u, {}), u, _copy(u))
+    elif kind == "replaced":
+        ps = positions_of(u)
+        v = replace_at(_copy(u), ps[draw(st.integers(0, len(ps) - 1))], draw(_terms5))
+    else:
+        v = draw(_terms_to_compare)
+    return (u, v) if draw(st.booleans()) else (v, u)
+
+
+def _observed(t):
+    """Everything a caller can see of a term and of each of its subterms."""
+    subterms = [subterm_at(t, p) for p in positions_of(t)]
+    return [(format_term(u), hash(u), u.vars, u.size) for u in subterms]
+
+
+@settings(max_examples=300, deadline=None)
+@given(comparable_pairs())
+def test_equality_is_equality_of_printed_forms(pair):
+    s, t = pair
+    assert (s == t) == (format_term(s) == format_term(t))
+    assert (s != t) == (format_term(s) != format_term(t))
+
+
+@settings(max_examples=300, deadline=None)
+@given(comparable_pairs())
+def test_comparing_changes_nothing_observable(pair):
+    s, t = pair
+    before = _observed(s), _observed(t)
+    first = s == t
+    assert (_observed(s), _observed(t)) == before
+    assert (s == t) == (t == s) == first
+    assert (_observed(s), _observed(t)) == before

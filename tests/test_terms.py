@@ -1,6 +1,12 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from mgu.terms import (
+    App,
     ArityError,
     InvalidPositionError,
     ROOT,
@@ -19,6 +25,7 @@ from mgu.terms import (
     term_size,
     vars_of,
 )
+from mgu.terms import _equal_args
 
 SIG = Signature({"a": 0, "b": 0, "f": 2, "g": 1, "h": 3})
 X, Y = Var("X"), Var("Y")
@@ -89,6 +96,77 @@ class TestTermBasics:
         assert format_term(a) == "a"
         assert format_term(f(X, g(a))) == "f(X,g(a))"
         assert repr(f(X, g(a))) == "f(X,g(a))"
+
+
+def chain(n, leaf):
+    for _ in range(n):
+        leaf = g(leaf)
+    return leaf
+
+
+class TestEqualityWalk:
+    """``==`` walks without recursion, and equal nodes end up sharing one argument tuple."""
+
+    def test_100000_deep_chains_compare(self):
+        s, t = chain(100_000, X), chain(100_000, X)
+        assert s is not t and s.args is not t.args
+        assert s == t and t == s
+        assert s.args is t.args
+        assert chain(100_000, X) != chain(100_000, a)
+
+    def test_equal_nodes_adopt_one_args_tuple(self):
+        def build():
+            return SIG.app("h", chain(20, X), f(X, a), SIG.app("h", a, chain(20, Y), b))
+
+        s, t = build(), build()
+        before = [(hash(u), format_term(u), u.vars, u.size) for u in (s, t)]
+        assert s == t
+        assert s.args is t.args
+        assert [(hash(u), format_term(u), u.vars, u.size) for u in (s, t)] == before
+        assert s == t and t == s
+
+    def test_small_terms_compare_without_adopting(self):
+        s, t = f(g(X), SIG.app("h", a, Y, b)), f(g(X), SIG.app("h", a, Y, b))
+        assert s.size <= 16
+        assert s == t and not s != t
+        assert s.args is not t.args
+
+    def test_walk_stops_at_first_difference(self):
+        # Hashes of unequal terms differ, so ``==`` never walks this pair;
+        # the walk itself must still find the difference and adopt only the
+        # argument pairs it found equal.
+        s, t = f(chain(20, X), f(a, chain(20, b))), f(chain(20, X), f(a, chain(20, a)))
+        assert _equal_args(s, t) is False
+        assert s.args[0].args is t.args[0].args
+        assert s.args is not t.args
+        assert s.args[1].args is not t.args[1].args
+        assert format_term(s.args[1]) == "f(a," + "g(" * 20 + "b" + ")" * 21
+
+    def test_different_arities_are_unequal(self):
+        # Applications of one symbol at two arities, which Signature.app
+        # never builds, compare unequal.
+        assert _equal_args(App("h", (a, b)), App("h", (a,))) is False
+        assert _equal_args(App("h", (a, b)), App("h", (a, b, b))) is False
+
+    def test_shared_chains_compare_in_linear_time(self):
+        # Two separately built chains X_i = f(X_{i-1}, X_{i-1}): 2**65 - 1
+        # nodes as trees, 65 as DAGs.  A subprocess, so that an exponential
+        # walk fails on the timeout instead of hanging the suite.
+        code = (
+            "from mgu.terms import Signature\n"
+            "sig = Signature({'f': 2, 'a': 0})\n"
+            "def build(n):\n"
+            "    x = sig.app('a')\n"
+            "    for _ in range(n):\n"
+            "        x = sig.app('f', x, x)\n"
+            "    return x\n"
+            "s, t = build(64), build(64)\n"
+            "print(s is not t, s == t, t == s, s.size == 2 ** 65 - 1)\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=60)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "True True True True\n", "")
 
 
 class TestPositions:

@@ -1,8 +1,14 @@
+import os
+import subprocess
+import sys
+import threading
+from pathlib import Path
+
 import pytest
 
 from mgu.oracle import EnumBound, EquationSet, enum_terms, solve_equations
 from mgu.substitution import Subst, compose, identity, singleton
-from mgu.terms import App, InvalidPositionError, ROOT, Signature, Var
+from mgu.terms import App, InvalidPositionError, ROOT, Signature, Var, format_term
 from mgu.unify import (
     Clash,
     Failed,
@@ -283,6 +289,149 @@ class TestIllFormed:
             s, t = t, s
         with pytest.raises(ValueError, match="terms are ill-formed: .* share a symbol but not an arity"):
             run(s, t)
+
+
+def chain(n, leaf):
+    """g^n(leaf)."""
+    for _ in range(n):
+        leaf = g(leaf)
+    return leaf
+
+
+ALL_FOUR = (*ALGORITHMS, solve_pair)
+ALL_FOUR_IDS = ["classic", "robinson", "efficient", "mm"]
+
+
+class TestDeepChains:
+    """Chains 100,000 deep, far past the interpreter's recursion limit, in every
+    algorithm and either orientation; failures are found at the bottom."""
+
+    N = 100_000
+
+    @pytest.fixture(scope="class")
+    def chains(self):
+        return {leaf: chain(self.N, term) for leaf, term in (("X", X), ("a", a), ("b", b), ("gX", g(X)))}
+
+    @staticmethod
+    def run(algorithm, s, t, swap):
+        return algorithm(t, s) if swap else algorithm(s, t)
+
+    @pytest.mark.parametrize("swap", [False, True], ids=["left", "right"])
+    @pytest.mark.parametrize("algorithm", ALL_FOUR, ids=ALL_FOUR_IDS)
+    def test_unifies(self, chains, algorithm, swap):
+        out = self.run(algorithm, chains["X"], chains["a"], swap)
+        assert isinstance(out, Unified)
+        assert (str(out.mgu), out.steps) == ("{X -> a}", 1)
+
+    @pytest.mark.parametrize("swap", [False, True], ids=["left", "right"])
+    @pytest.mark.parametrize("algorithm", ALL_FOUR, ids=ALL_FOUR_IDS)
+    def test_clash_at_bottom(self, chains, algorithm, swap):
+        out = self.run(algorithm, chains["a"], chains["b"], swap)
+        assert isinstance(out, Failed) and isinstance(out.cause, Clash)
+        assert (out.cause.left, out.cause.right) == (("b", "a") if swap else ("a", "b"))
+        assert len(out.cause.position) == self.N and set(out.cause.position) == {1}
+
+    @pytest.mark.parametrize("swap", [False, True], ids=["left", "right"])
+    @pytest.mark.parametrize("algorithm", ALL_FOUR, ids=ALL_FOUR_IDS)
+    def test_occurs_at_bottom(self, chains, algorithm, swap):
+        out = self.run(algorithm, chains["X"], chains["gX"], swap)
+        assert isinstance(out, Failed) and isinstance(out.cause, OccursCheck)
+        assert (out.cause.variable, str(out.cause.term)) == ("X", "g(X)")
+        assert len(out.cause.position) == self.N and set(out.cause.position) == {1}
+
+
+# The shared family at n = 64 through all four algorithms: resolving it
+# builds terms of about 2**65 nodes as trees, 65 as DAGs.  Run in a
+# subprocess, so that an exponential walk fails on the timeout instead of
+# hanging the suite.
+_SHARED_64 = """
+from mgu.oracle import EquationSet, solve_equations
+from mgu.terms import Signature, Var
+from mgu.unify import classic_unify, is_unifier, robinson_unify, robinson_unify_efficient
+
+sig = Signature({"f": 2, "a": 0})
+n = 64
+xs = [Var(f"X{i}") for i in range(n + 1)]
+ys = [Var(f"Y{i}") for i in range(n + 1)]
+
+def f_list(items):
+    out = sig.app("a")
+    for item in reversed(items):
+        out = sig.app("f", item, out)
+    return out
+
+s = f_list(xs[1:] + ys[1:] + [xs[n]])
+t = f_list([sig.app("f", u, u) for u in xs[:-1]] + [sig.app("f", u, u) for u in ys[:-1]] + [ys[n]])
+outs = [run(s, t) for run in (classic_unify, robinson_unify, robinson_unify_efficient)]
+outs.append(solve_equations(EquationSet([(s, t)])))
+mgu = outs[0].mgu
+print(all(out.mgu == mgu for out in outs), [out.steps for out in outs], len(mgu),
+      is_unifier(mgu, s, t), mgu.is_idempotent())
+"""
+
+
+def test_shared_family_64_in_every_algorithm():
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    proc = subprocess.run([sys.executable, "-c", _SHARED_64], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == "True [129, 129, 129, 129] 129 True True\n"
+
+
+def shared_chain(n, leaf):
+    """X_n for X_i = f(X_{i-1}, X_{i-1}), X_0 = leaf: n + 1 distinct nodes."""
+    for _ in range(n):
+        leaf = f(leaf, leaf)
+    return leaf
+
+
+def tree_chain(n, leaf):
+    """The same value as shared_chain, built without any sharing."""
+    return leaf if n == 0 else f(tree_chain(n - 1, leaf), tree_chain(n - 1, leaf))
+
+
+class TestThreads:
+    def test_threads_compare_and_unify_the_same_terms(self):
+        """Eight threads compare and unify one set of equal but distinct terms,
+        so that argument tuples are adopted while other threads walk them."""
+        equal = [(shared_chain(10, g(a)), shared_chain(10, g(a))) for _ in range(12)]
+        equal += [(shared_chain(10, g(a)), tree_chain(10, g(a))) for _ in range(4)]
+        unequal = [(shared_chain(10, g(a)), shared_chain(10, g(b))) for _ in range(4)]
+        families = [shared_family(8) for _ in range(4)]
+        s8, t8 = shared_family(8)
+        expected = {True: str(robinson_unify(s8, t8).mgu), False: str(robinson_unify(t8, s8).mgu)}
+        errors = []
+
+        def work(k):
+            try:
+                for i in range(len(equal)):
+                    s, t = equal[(i + k) % len(equal)]
+                    if not (s == t and t == s) or s != t:
+                        errors.append(f"thread {k}: equal pair {i} compared unequal")
+                for s, t in unequal:
+                    if s == t or not (t != s):
+                        errors.append(f"thread {k}: unequal pair compared equal")
+                for s, t in families[k % 2:] + families[:k % 2]:
+                    for run in ALL_FOUR:
+                        out = run(*((s, t) if k % 2 else (t, s)))
+                        if not isinstance(out, Unified) or str(out.mgu) != expected[k % 2 == 1]:
+                            errors.append(f"thread {k}: {run.__name__} gave {out}")
+            except Exception as err:  # noqa: BLE001 - reported below
+                errors.append(f"thread {k}: {err!r}")
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=work, args=(k,)) for k in range(8)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert all(format_term(s) == format_term(t) for s, t in equal)
 
 
 class TestNextPosition:
