@@ -3,8 +3,9 @@ unification algorithm, and expose the term/substitution utilities.
 
 Exit codes: 0 for a successful result, 1 when the domain says no (not
 unifiable, invalid position, no match), 2 for any input error, input
-nested too deeply for the parser, printing, ``positions`` or ``match``
-included: these recurse once per level, the unification algorithms do not.
+nested too deeply for the parser, ``positions`` or ``match`` included:
+these recurse once per level; the unification algorithms and printing do
+not.
 
 ``main`` builds its argument parser once per process, on its first call,
 and shares it with every later call: parsing leaves the parser unchanged,
@@ -398,7 +399,7 @@ def main(argv: list[str] | None = None) -> int:
         if ns.command == "unify":
             return cmd_unify(config, ns.s, ns.t)
         return cmd_utils(config, ns.command, [getattr(ns, a) for a in _UTILITIES[ns.command][0]])
-    except RecursionError:  # the parser, printing, positions and matching recurse per level
+    except RecursionError:  # the parser, positions and matching recurse per level
         return _input_error("input nested too deeply")
 
 

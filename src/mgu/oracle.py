@@ -3,6 +3,10 @@
 ``solve_equations`` unifies by transforming a set of equations with the
 delete / decompose / orient / eliminate rules, a different algorithm family
 from difference resolving, so agreement between the two is real evidence.
+It eliminates ``X := u`` by instantiating, through the one-entry table
+``{X: u}`` and one memo, only the pending equations and solved bindings
+that hold ``X``; each elimination still visits all of them, so the solver
+is quadratic in the number of variables it binds.
 ``enum_terms`` and ``enum_substitutions`` enumerate every term and every
 substitution under a bound, and ``enumerated_unifiers`` filters the latter
 down to the actual unifiers of a pair; together they give finite, exact
@@ -27,7 +31,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .substitution import Subst, singleton
+from .substitution import Subst, _instantiate
 from .terms import App, Position, Signature, Term, Var
 from .unify import Clash, Failed, OccursCheck, Unified, UnifyOutcome, _ill_formed, is_unifier
 
@@ -94,9 +98,9 @@ def solve_equations(eqs: EquationSet) -> UnifyOutcome:
         if s == t:
             continue
         if isinstance(s, Var):
-            x, u = s, t
+            x, u = s.name, t
         elif isinstance(t, Var):
-            x, u = t, s
+            x, u = t.name, s
         else:  # two applications
             if s.symbol != t.symbol:
                 return Failed(Clash(_position(link), s.symbol, t.symbol))
@@ -107,15 +111,26 @@ def solve_equations(eqs: EquationSet) -> UnifyOutcome:
                 for i, (a, b) in reversed(list(enumerate(zip(s.args, t.args), start=1)))
             )
             continue
-        if x.name in u.vars:
-            return Failed(OccursCheck(x.name, u, _position(link)))
-        elim = singleton(x.name, u)
-        work = deque((elim.apply(a), elim.apply(b), q) for a, b, q in work)
-        for solved in solution:
-            solution[solved] = elim.apply(solution[solved])
-        solution[x.name] = u
+        if x in u.vars:
+            return Failed(OccursCheck(x, u, _position(link)))
+        # Eliminate x := u through the one-entry table, with one memo for
+        # every term it rewrites; terms without x are kept as they are.
+        table = {x: u}
+        dom, memo = table.keys(), {}
+        work = deque(
+            (
+                _instantiate(a, table, dom, memo) if x in a.vars else a,
+                _instantiate(b, table, dom, memo) if x in b.vars else b,
+                q,
+            )
+            for a, b, q in work
+        )
+        for solved, image in solution.items():
+            if x in image.vars:
+                solution[solved] = _instantiate(image, table, dom, memo)
+        solution[x] = u
         steps += 1
-    return Unified(Subst(solution), steps)
+    return Unified(Subst._of(solution), steps)
 
 
 @lru_cache(maxsize=None)

@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator, Mapping, Set as AbstractSet
 from dataclasses import dataclass
 
-from .terms import App, Position, ROOT, Term, Var, is_variable_name
+from .terms import _SMALL, App, Position, ROOT, Term, Var, is_variable_name
 
 
 class Subst:
@@ -37,6 +37,16 @@ class Subst:
                 table[name] = image
         self._map = table
         self._dom = frozenset(table)
+
+    @classmethod
+    def _of(cls, table: dict[str, Term]) -> Subst:
+        """The substitution with exactly the bindings of ``table``, taken as
+        it is: every name and image must already be valid and no binding an
+        identity, as for the maps the unification engines build."""
+        sigma = cls.__new__(cls)
+        sigma._map = table
+        sigma._dom = frozenset(table)
+        return sigma
 
     def __eq__(self, other: object):
         if not isinstance(other, Subst):
@@ -88,27 +98,51 @@ class Subst:
         """Whether applying the substitution makes the two terms equal.
 
         Same answer as ``self.apply(s) == self.apply(t)``, but compares the
-        instantiated terms without building them.
+        instantiated terms without building them.  The walk keeps its own
+        stack, so depth costs no interpreter frames, and compares a pair of
+        nodes of more than ``_SMALL`` nodes once however often the terms
+        share it, so shared chains cost their distinct nodes, not their
+        trees.
         """
-        if s is t:
-            return True
-        if isinstance(s, Var):
-            return self._image_vs_applied(self._map.get(s.name, s), t)
-        if isinstance(t, Var):
-            return self._image_vs_applied(self._map.get(t.name, t), s)
-        if s.symbol != t.symbol:
-            return False
-        return all(self.applied_equal(a, b) for a, b in zip(s.args, t.args))
-
-    def _image_vs_applied(self, u: Term, t: Term) -> bool:
-        """u == self.apply(t), where u is already fully instantiated."""
-        if t.vars.isdisjoint(self._dom):
-            return u == t
-        if isinstance(t, Var):
-            return u == self._map.get(t.name, t)
-        if not isinstance(u, App) or u.symbol != t.symbol:
-            return False
-        return all(self._image_vs_applied(a, b) for a, b in zip(u.args, t.args))
+        table, dom = self._map, self._dom
+        # A pending pair (done, u, v) asks whether u equals v instantiated,
+        # u being instantiated already when ``done`` and to be otherwise.
+        todo: list[tuple[bool, Term, Term]] = [(False, s, t)]
+        # Pairs of large nodes already expanded, by id: every node is held
+        # by s, t or the table for the whole call, so no id is reused.
+        seen: set[tuple[bool, int, int]] | None = None
+        while todo:
+            done, u, v = todo.pop()
+            if not done:
+                if u is v:
+                    continue
+                if type(u) is Var:
+                    u, done = table.get(u.name, u), True
+                elif type(v) is Var:
+                    u, v, done = table.get(v.name, v), u, True
+            if done:
+                if type(v) is Var:
+                    if u != table.get(v.name, v):
+                        return False
+                    continue
+                if v.vars.isdisjoint(dom):
+                    if u != v:
+                        return False
+                    continue
+                if type(u) is not App:
+                    return False
+            if u.symbol != v.symbol or len(u.args) != len(v.args):
+                return False
+            if u.size > _SMALL:
+                key = (done, id(u), id(v))
+                if seen is None:
+                    seen = set()
+                elif key in seen:
+                    continue
+                seen.add(key)
+            for a, b in zip(u.args, v.args):
+                todo.append((done, a, b))
+        return True
 
     def restrict(self, names: Iterable[str]) -> Subst:
         keep = set(names)

@@ -347,12 +347,30 @@ def term_size(t: Term) -> int:
 
 
 def format_term(t: Term) -> str:
-    """Canonical form: ``f(t1,t2)``, constants bare, variables verbatim."""
-    if isinstance(t, Var):
-        return t.name
-    if not t.args:
-        return t.symbol
-    return f"{t.symbol}({','.join(format_term(a) for a in t.args)})"
+    """Canonical form: ``f(t1,t2)``, constants bare, variables verbatim.
+
+    The writer keeps its own stack of the terms and punctuation still to
+    print, so depth costs no interpreter frames.
+    """
+    out: list[str] = []
+    todo: list[Term | str] = [t]
+    while todo:
+        u = todo.pop()
+        if type(u) is str:
+            out.append(u)
+        elif type(u) is Var:
+            out.append(u.name)
+        elif u.args:
+            out.append(u.symbol + "(")
+            todo.append(")")
+            args = u.args
+            for a in args[:0:-1]:
+                todo.append(a)
+                todo.append(",")
+            todo.append(args[0])
+        else:
+            out.append(u.symbol)
+    return "".join(out)
 
 
 def format_position(p: Position) -> str:

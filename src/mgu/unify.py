@@ -23,6 +23,12 @@ copies.  A rescan from the root meets the resolved part again as pairs
 that ``==`` has already made share their arguments: one identity test per
 pair of more than 16 nodes.
 
+Most calls fail at their first conflict, so the fixed cost of a call
+counts: a scan hands over the two subterms it found different along with
+their position, so each conflict is walked to once, and the outcome
+records are built without the generated per-field stores.  ``first_diff``
+and ``next_position`` stay the public forms of the two scans.
+
 Two applications of one symbol with different argument counts, which
 ``Signature.app`` never builds, make every algorithm raise ValueError.
 
@@ -50,6 +56,11 @@ from .terms import (
 )
 
 
+# The outcome records are frozen dataclasses whose ``__init__`` fills the
+# instance dict in one call, at about half the cost of the generated one,
+# which stores each field through ``object.__setattr__``.
+
+
 @dataclass(frozen=True)
 class Clash:
     """Applications with different head symbols at the same position."""
@@ -57,6 +68,9 @@ class Clash:
     position: Position
     left: str
     right: str
+
+    def __init__(self, position: Position, left: str, right: str):
+        self.__dict__.update(position=position, left=left, right=right)
 
 
 @dataclass(frozen=True)
@@ -67,6 +81,9 @@ class OccursCheck:
     term: Term
     position: Position
 
+    def __init__(self, variable: str, term: Term, position: Position):
+        self.__dict__.update(variable=variable, term=term, position=position)
+
 
 FailureCause = Clash | OccursCheck
 
@@ -76,10 +93,16 @@ class Unified:
     mgu: Subst
     steps: int = 0
 
+    def __init__(self, mgu: Subst, steps: int = 0):
+        self.__dict__.update(mgu=mgu, steps=steps)
+
 
 @dataclass(frozen=True)
 class Failed:
     cause: FailureCause
+
+    def __init__(self, cause: FailureCause):
+        self.__dict__["cause"] = cause
 
 
 UnifyOutcome = Unified | Failed
@@ -153,6 +176,12 @@ def first_diff(s: Term, t: Term) -> Position:
     """
     if s == t:
         raise ValueError("first_diff requires distinct terms")
+    return _descend(s, t)[0]
+
+
+def _descend(s: Term, t: Term) -> _Conflict:
+    """``first_diff`` of two terms known to be distinct, with the two
+    subterms found there: the conflict, from the one walk that finds it."""
     pos: list[int] = []
     while type(s) is App and type(t) is App and s.symbol == t.symbol:
         for i, (a, b) in enumerate(zip(s.args, t.args), start=1):
@@ -162,7 +191,7 @@ def first_diff(s: Term, t: Term) -> Position:
                 break
         else:  # same symbol, no differing argument: ill-formed arities
             raise _ill_formed(s, t)
-    return tuple(pos)
+    return tuple(pos), s, t
 
 
 def _ill_formed(s: App, t: App) -> ValueError:
@@ -270,7 +299,7 @@ class _Run:
         done = table.keys()
         for x, u in reversed(self.links):
             table[x] = u if done.isdisjoint(u.vars) else _instantiate(u, table, done, {})
-        return Unified(Subst(table), len(self.links))
+        return Unified(Subst._of(table), len(self.links))
 
 
 def next_position(s: Term, t: Term, p: Position) -> Position:
@@ -288,10 +317,13 @@ def next_position(s: Term, t: Term, p: Position) -> Position:
         raise InvalidPositionError(s, p, p)
     if not is_valid_position(t, p):
         raise InvalidPositionError(t, p, p)
-    return _next_position(s, t, p)
+    found = _next_position(s, t, p)
+    return ROOT if found is None else found[0]
 
 
-def _next_position(s: Term, t: Term, p: Position) -> Position:
+def _next_position(s: Term, t: Term, p: Position) -> _Conflict | None:
+    """``next_position`` with the two subterms there, which the scan has
+    just found different; None for the root."""
     # The pairs of subterms at the proper prefixes of p, root first: one
     # walk down, then the climb pops them, and ``path`` with them: after
     # each pop, ``path`` is the position of the pair just popped.
@@ -306,14 +338,14 @@ def _next_position(s: Term, t: Term, p: Position) -> Position:
         if not (isinstance(sp, App) and isinstance(tp, App)):
             raise RuntimeError(f"next_position: parent of {(*path, last)} is a leaf (internal bug)")
         if sp.symbol != tp.symbol:
-            return tuple(path)
+            return tuple(path), sp, tp
         if len(sp.args) != len(tp.args):
             raise _ill_formed(sp, tp)
         for i in range(last, len(sp.args)):
             if sp.args[i] != tp.args[i]:
                 path.append(i + 1)
-                return tuple(path)
-    return ROOT
+                return tuple(path), sp.args[i], tp.args[i]
+    return None
 
 
 def _unify(s: Term, t: Term, trace: TraceFn | None, rescan: _Scan) -> UnifyOutcome:
@@ -336,26 +368,23 @@ def _unify(s: Term, t: Term, trace: TraceFn | None, rescan: _Scan) -> UnifyOutco
 
 def _scan_from_root(s: Term, t: Term, resolved: Position) -> _Conflict | None:
     """The first conflict of the whole terms, wherever the last one was."""
-    if s == t:
-        return None
-    p = first_diff(s, t)
-    return p, subterm_at(s, p), subterm_at(t, p)
+    return None if s == t else _descend(s, t)
 
 
 def _scan_right(s: Term, t: Term, resolved: Position) -> _Conflict | None:
     """The first conflict strictly right of the one just resolved; none once
     the scan climbs back to the root, without comparing the whole terms.
 
-    ``_next_position`` returns the root or a position whose subterms it has
-    just found different, so one resumption suffices; ``first_diff`` still
-    raises ValueError should the two subterms there be equal after all.
+    ``_next_position`` returns the root or a pair of subterms it has just
+    found different, so one resumption and one descent from that pair
+    suffice.
     """
-    p = _next_position(s, t, resolved)
-    if p == ROOT:
+    found = _next_position(s, t, resolved)
+    if found is None:
         return None
-    sp, tp = subterm_at(s, p), subterm_at(t, p)
-    q = first_diff(sp, tp)
-    return p + q, subterm_at(sp, q), subterm_at(tp, q)
+    p, sp, tp = found
+    q, sq, tq = _descend(sp, tp)
+    return p + q, sq, tq
 
 
 def classic_unify(s: Term, t: Term, trace: TraceFn | None = None) -> UnifyOutcome:

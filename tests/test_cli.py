@@ -477,3 +477,14 @@ class TestDeepInput:
         proc = _run_cli("unify", self.chain(400, "X"), self.chain(400, "a"), "--sig", deep_sig,
                         "--algorithm", "efficient")
         assert (proc.returncode, proc.stdout, proc.stderr) == (0, "{X -> a}\n", "")
+
+    def test_900_deep_mgu_prints(self, deep_sig):
+        # The mgu is as deep as the input; printing it no longer recurses,
+        # so only the parser limits the depth.
+        deep = self.chain(900, "a")
+        for args in ((), ("--trace",), ("--output", "structured")):
+            proc = _run_cli("unify", "X", deep, "--sig", deep_sig, *args)
+            assert (proc.returncode, proc.stderr) == (0, "")
+            assert "{X -> " + deep + "}" in proc.stdout
+        proc = _run_cli("unify", "X", deep, "--sig", deep_sig)
+        assert proc.stdout == "{X -> " + deep + "}\n"

@@ -437,3 +437,51 @@ def test_comparing_changes_nothing_observable(pair):
     assert (_observed(s), _observed(t)) == before
     assert (s == t) == (t == s) == first
     assert (_observed(s), _observed(t)) == before
+
+
+@settings(max_examples=300, deadline=None)
+@given(comparable_pairs(), st.dictionaries(st.sampled_from(VARS5), _images5, max_size=3).map(Subst))
+def test_applied_equal_agrees_with_apply_on_larger_terms(pair, sigma):
+    """Past 16 nodes and with repeated subterms, which ``applied_equal``
+    compares once per pair of nodes."""
+    s, t = pair
+    for u, v in ((s, t), (s, sigma.apply(s)), (sigma.apply(t), t)):
+        assert sigma.applied_equal(u, v) == (sigma.apply(u) == sigma.apply(v))
+
+
+def _robinson_fold(equations):
+    """robinson_unify over the equations in turn, each under the unifier of
+    the ones before it; None when one of them does not unify."""
+    sigma = identity()
+    for s, t in equations:
+        out = robinson_unify(sigma.apply(s), sigma.apply(t))
+        if not isinstance(out, Unified):
+            return None
+        sigma = compose(out.mgu, sigma)
+    return sigma
+
+
+@st.composite
+def equation_lists(draw):
+    """Two to four equations: each a term against an instance of it under
+    one shared substitution, so that many sets unify, or an unrelated pair."""
+    sigma = Subst(draw(st.dictionaries(st.sampled_from(VARS5), _images5, min_size=1, max_size=4)))
+    equations = []
+    for _ in range(draw(st.integers(2, 4))):
+        u = draw(_terms5)
+        v = sigma.apply(u) if draw(st.booleans()) else draw(_terms5)
+        equations.append((u, v) if draw(st.booleans()) else (v, u))
+    return equations
+
+
+@settings(max_examples=200, deadline=None)
+@given(equation_lists())
+def test_equation_sets_agree_with_robinson_fold(equations):
+    out = solve_equations(EquationSet(equations))
+    fold = _robinson_fold(equations)
+    assert isinstance(out, Unified) == (fold is not None)
+    if fold is not None:
+        assert all(is_unifier(out.mgu, s, t) for s, t in equations)
+        assert out.mgu.is_idempotent()
+        assert more_general(out.mgu, fold)
+        assert more_general(fold, out.mgu)

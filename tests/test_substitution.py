@@ -11,7 +11,7 @@ from mgu.substitution import (
     singleton,
     subst_equal,
 )
-from mgu.terms import ROOT, Signature, Var, term_size
+from mgu.terms import App, ROOT, Signature, Var, term_size
 
 SIG = Signature({"a": 0, "b": 0, "f": 2, "g": 1})
 X, Y, Z = Var("X"), Var("Y"), Var("Z")
@@ -140,6 +140,54 @@ class TestRestrictIdempotentEqual:
 
     def test_items_sorted(self):
         assert [x for x, _ in Subst({"Z": a, "X": b}).items()] == ["X", "Z"]
+
+
+def chain(n, leaf):
+    for _ in range(n):
+        leaf = g(leaf)
+    return leaf
+
+
+class TestAppliedEqual:
+    """``applied_equal`` walks without recursion, once per pair of distinct nodes."""
+
+    def test_100000_deep_chains(self):
+        n = 100_000
+        s, t = chain(n, f(X, Y)), chain(n, f(a, Y))
+        assert Subst({"X": a}).applied_equal(s, t)
+        assert Subst({"X": a}).applied_equal(t, s)
+        assert not Subst({"X": b}).applied_equal(s, t)
+        # An image compared against a deep term that still has to be instantiated.
+        deep = Subst({"X": chain(n, a), "Y": a})
+        assert deep.applied_equal(X, chain(n, Y))
+        assert deep.applied_equal(chain(n, Y), X)
+        assert not deep.applied_equal(X, chain(n - 1, Y))
+
+    def test_shared_node_faces_each_partner(self):
+        # A node of more than 16 nodes met twice, against two different
+        # partners, or against one partner once instantiated and once not:
+        # each is its own question, so neither answer may stand for the other.
+        u = chain(20, X)
+        for sigma in (identity(), Subst({"X": a})):
+            assert not sigma.applied_equal(f(u, u), f(chain(20, X), chain(20, Y)))
+            assert not sigma.applied_equal(f(u, u), f(chain(20, Y), chain(20, X)))
+        sigma = Subst({"Z": chain(20, a), "X": a, "W": b})
+        W = Var("W")
+        assert not sigma.applied_equal(f(Z, Z), f(chain(20, X), chain(20, W)))
+        assert not sigma.applied_equal(f(Z, Z), f(chain(20, W), chain(20, X)))
+        big, other = chain(20, Y), chain(20, Y)
+        sigma = Subst({"X": big, "Y": a})  # not idempotent: Y is bound and in X's image
+        for s in (f(X, big), f(big, X)):
+            t = f(other, other)
+            assert sigma.apply(s) != sigma.apply(t)
+            assert not sigma.applied_equal(s, t)
+
+    def test_one_symbol_at_two_arities_is_never_equal(self):
+        # Applications that Signature.app never builds: their instances differ.
+        s, t = App("h", (X, a)), App("h", (X,))
+        assert (identity().apply(s) == identity().apply(t)) is False
+        assert identity().applied_equal(s, t) is False
+        assert identity().applied_equal(t, s) is False
 
 
 class TestMatch:

@@ -96,6 +96,12 @@ class TestTermBasics:
         assert format_term(a) == "a"
         assert format_term(f(X, g(a))) == "f(X,g(a))"
         assert repr(f(X, g(a))) == "f(X,g(a))"
+        assert format_term(SIG.app("h", f(a, X), b, g(Y))) == "h(f(a,X),b,g(Y))"
+
+    def test_100000_deep_chain_prints(self):
+        n = 100_000
+        assert format_term(chain(n, X)) == "g(" * n + "X" + ")" * n
+        assert format_term(f(chain(n, a), X)) == "f(" + "g(" * n + "a" + ")" * n + ",X)"
 
 
 def chain(n, leaf):

@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import subprocess
 import sys
@@ -378,6 +379,30 @@ def test_shared_family_64_in_every_algorithm():
     assert proc.stdout == "True [129, 129, 129, 129] 129 True True\n"
 
 
+_SHARED_CHAINS_64 = """
+from mgu.substitution import Subst
+from mgu.terms import App, Var
+from mgu.unify import is_unifier
+
+def chain(leaf, n):
+    for _ in range(n):
+        leaf = App("f", (leaf, leaf))
+    return leaf
+
+s, t = chain(Var("X"), 64), chain(Var("Y"), 64)
+print(is_unifier(Subst({"X": Var("Y")}), s, t), is_unifier(Subst({"X": App("a")}), s, t))
+"""
+
+
+def test_is_unifier_on_shared_chains_64():
+    # X_64 against Y_64, 2**65 - 1 nodes each as trees: a tree walk doubles
+    # per level.  In a subprocess, so that such a walk fails on the timeout.
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    proc = subprocess.run([sys.executable, "-c", _SHARED_CHAINS_64], env=env, capture_output=True,
+                          text=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "True False\n", "")
+
+
 def shared_chain(n, leaf):
     """X_n for X_i = f(X_{i-1}, X_{i-1}), X_0 = leaf: n + 1 distinct nodes."""
     for _ in range(n):
@@ -461,6 +486,52 @@ class TestNextPosition:
 
     def test_root_head_clash_collapses_to_root(self):
         assert next_position(f(a, b), SIG.app("g", a), (1,)) == ROOT
+
+
+class TestOutcomeRecords:
+    """The four outcome records keep the value semantics of frozen dataclasses."""
+
+    RECORDS = [
+        (Clash, ((1, 2), "f", "g"), {"left": "h"},
+         "Clash(position=(1, 2), left='f', right='g')"),
+        (OccursCheck, ("X", g(X), (2,)), {"position": ()},
+         "OccursCheck(variable='X', term=g(X), position=(2,))"),
+        (Unified, (Subst({"X": a}), 1), {"steps": 2}, "Unified(mgu={X -> a}, steps=1)"),
+        (Failed, (Clash((), "a", "b"),), {"cause": OccursCheck("X", g(X), ())},
+         "Failed(cause=Clash(position=(), left='a', right='b'))"),
+    ]
+
+    @pytest.mark.parametrize("cls, args, change, text", RECORDS,
+                             ids=["Clash", "OccursCheck", "Unified", "Failed"])
+    def test_value_semantics(self, cls, args, change, text):
+        names = [field.name for field in dataclasses.fields(cls)]
+        record = cls(*args)
+        assert [getattr(record, name) for name in names] == list(args)
+        assert record == cls(**dict(zip(names, args)))
+        assert repr(record) == text
+        changed = dataclasses.replace(record, **change)
+        assert changed != record
+        assert [getattr(changed, name) for name in names] == [change.get(n, v) for n, v in zip(names, args)]
+        if cls is Unified:  # Subst defines == without a hash, so Unified has none
+            with pytest.raises(TypeError, match="unhashable type: 'Subst'"):
+                hash(record)
+        else:
+            assert hash(record) == hash(cls(*args))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(record, names[0], args[0])
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(record, names[-1])
+        assert [getattr(record, name) for name in names] == list(args)
+
+    def test_unified_steps_default_to_zero(self):
+        assert Unified(identity()) == Unified(identity(), 0) == Unified(mgu=identity())
+        assert repr(Unified(identity())) == "Unified(mgu={}, steps=0)"
+        assert Unified(identity()) != Unified(identity(), 1)
+
+    def test_records_of_different_kinds_differ(self):
+        assert Clash((), "a", "b") != Failed(Clash((), "a", "b"))
+        assert Failed(Clash((), "a", "b")) == Failed(Clash((), "a", "b"))
+        assert Failed(Clash((), "a", "b")) != Failed(Clash((), "a", "c"))
 
 
 class TestFailureRendering:
