@@ -101,41 +101,37 @@ def parse_signature(text: str) -> Signature:
     return Signature(pairs)
 
 
-_TOKEN_RE = re.compile(r"->|[(),{}]|[A-Za-z?_][A-Za-z0-9_]*")
+# Skips whitespace, then takes a token or, as an error, any other character.
+_TOKEN_RE = re.compile(r"\s*(?:(->|[(),{}]|[A-Za-z?_][A-Za-z0-9_]*)|(\S))")
 
 
 class _Tokens:
-    """Token stream over a single input string, tracking offsets for errors."""
+    """Token stream over a single input string, tracking offsets for errors.
+
+    The stream ends with the sentinel ``("", len(text))``, which no token
+    equals.
+    """
 
     def __init__(self, text: str):
-        self.text = text
         self.items: list[tuple[str, int]] = []
-        pos = 0
-        while pos < len(text):
-            if text[pos].isspace():
-                pos += 1
-                continue
-            m = _TOKEN_RE.match(text, pos)
-            if m is None:
-                raise ParseError(f"offset {pos}: unexpected character {text[pos]!r}")
-            self.items.append((m.group(0), pos))
-            pos = m.end()
+        for m in _TOKEN_RE.finditer(text):
+            tok, bad = m.groups()
+            if bad is not None:
+                raise ParseError(f"offset {m.start(2)}: unexpected character {bad!r}")
+            self.items.append((tok, m.start(1)))
+        self.items.append(("", len(text)))
         self.index = 0
 
-    def peek(self) -> str | None:
-        if self.index < len(self.items):
-            return self.items[self.index][0]
-        return None
+    def peek(self) -> str:
+        return self.items[self.index][0]
 
     def offset(self) -> int:
-        if self.index < len(self.items):
-            return self.items[self.index][1]
-        return len(self.text)
+        return self.items[self.index][1]
 
     def take(self) -> tuple[str, int]:
-        if self.index >= len(self.items):
-            raise ParseError(f"offset {len(self.text)}: unexpected end of input")
         tok = self.items[self.index]
+        if not tok[0]:
+            raise ParseError(f"offset {tok[1]}: unexpected end of input")
         self.index += 1
         return tok
 
@@ -145,8 +141,8 @@ class _Tokens:
             raise ParseError(f"offset {off}: expected {want!r}, got {tok!r}")
 
     def done(self) -> None:
-        if self.index < len(self.items):
-            tok, off = self.items[self.index]
+        tok, off = self.items[self.index]
+        if tok:
             raise ParseError(f"offset {off}: unexpected trailing input {tok!r}")
 
 

@@ -4,9 +4,11 @@
 delete / decompose / orient / eliminate rules, a different algorithm family
 from difference resolving, so agreement between the two is real evidence.
 It eliminates ``X := u`` by instantiating, through the one-entry table
-``{X: u}`` and one memo, only the pending equations and solved bindings
-that hold ``X``; each elimination still visits all of them, so the solver
-is quadratic in the number of variables it binds.
+``{X: u}`` and one memo, only the pending equations that hold ``X``.  The
+eliminations are kept in order and resolved into the mgu once, back to
+front, as the paper algorithms' links are, so no solved binding is ever
+rewritten; each elimination still visits every pending equation, so the
+solver is quadratic when many equations are pending.
 ``enum_terms`` and ``enum_substitutions`` enumerate every term and every
 substitution under a bound, and ``enumerated_unifiers`` filters the latter
 down to the actual unifiers of a pair; together they give finite, exact
@@ -33,7 +35,8 @@ from functools import lru_cache
 
 from .substitution import Subst, _instantiate
 from .terms import App, Position, Signature, Term, Var
-from .unify import Clash, Failed, OccursCheck, Unified, UnifyOutcome, _ill_formed, is_unifier
+from .unify import Clash, Failed, OccursCheck, Unified, UnifyOutcome, is_unifier
+from .unify import _ill_formed, _resolved
 
 
 @dataclass(frozen=True)
@@ -82,17 +85,17 @@ def solve_equations(eqs: EquationSet) -> UnifyOutcome:
 
     Worklist transformation: drop solved equations, decompose matching
     applications, orient term = variable, and eliminate variable = term by
-    substituting everywhere (after the occurs check).  Reported failure
-    positions are relative to the originating equation's terms as
-    instantiated at failure time.  Applications of one symbol with
-    different argument counts are ill-formed: ValueError, as in
-    ``first_diff``.
+    substituting into the pending equations (after the occurs check).  The
+    eliminations, in order, are a triangular solved form, resolved back to
+    front into the mgu at the end.  Reported failure positions are relative
+    to the originating equation's terms as instantiated at failure time.
+    Applications of one symbol with different argument counts are
+    ill-formed: ValueError, as in ``first_diff``.
     """
     work: deque[tuple[Term, Term, _Link]] = deque(
         (s, t, None) for s, t in eqs.equations
     )
-    solution: dict[str, Term] = {}
-    steps = 0
+    solved: list[tuple[str, Term]] = []
     while work:
         s, t, link = work.popleft()
         if s == t:
@@ -113,8 +116,9 @@ def solve_equations(eqs: EquationSet) -> UnifyOutcome:
             continue
         if x in u.vars:
             return Failed(OccursCheck(x, u, _position(link)))
-        # Eliminate x := u through the one-entry table, with one memo for
-        # every term it rewrites; terms without x are kept as they are.
+        # Eliminate x := u from the pending equations through the one-entry
+        # table, with one memo for every term it rewrites; terms without x
+        # are kept as they are.
         table = {x: u}
         dom, memo = table.keys(), {}
         work = deque(
@@ -125,12 +129,8 @@ def solve_equations(eqs: EquationSet) -> UnifyOutcome:
             )
             for a, b, q in work
         )
-        for solved, image in solution.items():
-            if x in image.vars:
-                solution[solved] = _instantiate(image, table, dom, memo)
-        solution[x] = u
-        steps += 1
-    return Unified(Subst._of(solution), steps)
+        solved.append((x, u))
+    return Unified(_resolved(solved), len(solved))
 
 
 @lru_cache(maxsize=None)
@@ -228,21 +228,25 @@ def enumerated_unifiers(s: Term, t: Term, bound: EnumBound) -> list[Subst]:
 
 def _faced_terms(s: Term, t: Term, faced: dict[str, list[Term]]) -> bool:
     """Walk the pair like ``Subst.applied_equal`` with every variable open,
-    recording under each variable the terms its occurrences face.
+    recording under each variable the terms its occurrences face, left to
+    right; one loop over a stack of pairs, so depth costs no frames.
 
     False at a head-symbol clash, which no substitution can undo.
     """
-    if s is t:
-        return True
-    if isinstance(s, Var):
-        faced.setdefault(s.name, []).append(t)
-        return True
-    if isinstance(t, Var):
-        faced.setdefault(t.name, []).append(s)
-        return True
-    if s.symbol != t.symbol:
-        return False
-    return all(_faced_terms(a, b, faced) for a, b in zip(s.args, t.args))
+    pairs = [(s, t)]
+    while pairs:
+        s, t = pairs.pop()
+        if s is t:
+            continue
+        if isinstance(s, Var):
+            faced.setdefault(s.name, []).append(t)
+        elif isinstance(t, Var):
+            faced.setdefault(t.name, []).append(s)
+        elif s.symbol != t.symbol:
+            return False
+        else:
+            pairs.extend(reversed(tuple(zip(s.args, t.args))))
+    return True
 
 
 def _image_may_equal(v: Term, t: Term, x: str, u: Term) -> bool:

@@ -3,9 +3,10 @@
 Three equivalent algorithms are provided, and they run one loop: find the
 leftmost-outermost position where the two terms disagree, resolve it with a
 one-variable link or stop with the failure cause found there, instantiate
-both terms and repeat.  The links are composed once, at the end; that gives
-the same substitution as composing each link into the unifier as it is
-made, without rewriting every earlier binding at every step.  The
+both terms and repeat.  The links are composed once, at the end, by
+``_resolved``, which the equation-set oracle shares; that gives the same
+substitution as composing each link into the unifier as it is made,
+without rewriting every earlier binding at every step.  The
 algorithms differ only in how they find the next conflict:
 
 - ``classic_unify`` and ``robinson_unify`` rescan from the root.  Their
@@ -27,7 +28,8 @@ Most calls fail at their first conflict, so the fixed cost of a call
 counts: a scan hands over the two subterms it found different along with
 their position, so each conflict is walked to once, and the outcome
 records are built without the generated per-field stores.  ``first_diff``
-and ``next_position`` stay the public forms of the two scans.
+and ``next_position`` stay the public forms of the two scans, and the
+paper's steps take their conflict from the same descent.
 
 Two applications of one symbol with different argument counts, which
 ``Signature.app`` never builds, make every algorithm raise ValueError.
@@ -45,13 +47,11 @@ from dataclasses import dataclass
 from .substitution import Subst, _instantiate, more_general, singleton
 from .terms import (
     App,
-    InvalidPositionError,
     Position,
     ROOT,
     Term,
     Var,
     format_position,
-    is_valid_position,
     subterm_at,
 )
 
@@ -174,9 +174,14 @@ def first_diff(s: Term, t: Term) -> Position:
     first argument pair that differs; anything else (variable against
     anything different, or a head clash) disagrees at the root.
     """
+    return _conflict(s, t)[0]
+
+
+def _conflict(s: Term, t: Term) -> _Conflict:
+    """``first_diff``'s conflict: its position and the two subterms there."""
     if s == t:
         raise ValueError("first_diff requires distinct terms")
-    return _descend(s, t)[0]
+    return _descend(s, t)
 
 
 def _descend(s: Term, t: Term) -> _Conflict:
@@ -206,8 +211,7 @@ def resolving_diff(s: Term, t: Term) -> Position:
     side is a variable the inputs were not unifiable and NotUnifiableError
     is raised.
     """
-    p = first_diff(s, t)
-    sp, tp = subterm_at(s, p), subterm_at(t, p)
+    p, sp, tp = _conflict(s, t)
     if not isinstance(sp, Var) and not isinstance(tp, Var):
         raise NotUnifiableError(Clash(p, sp.symbol, tp.symbol))
     return p
@@ -217,14 +221,14 @@ def sub_of_frst_diff(s: Term, t: Term) -> Subst:
     """The one-variable substitution resolving the first difference.
 
     The variable side is bound to the partner subterm, preferring the s-side
-    variable when both sides are variables.  A variable occurring in its
-    partner subterm means the inputs were not unifiable: NotUnifiableError.
+    variable when both sides are variables.  A head clash or a variable
+    occurring in its partner subterm means the inputs were not unifiable:
+    NotUnifiableError, carrying the cause ``link_of_frst_diff`` returns.
     """
-    p = resolving_diff(s, t)
-    link = _link(subterm_at(s, p), subterm_at(t, p), p)
-    if isinstance(link, OccursCheck):  # resolving_diff has already ruled out a clash
+    link = link_of_frst_diff(s, t)
+    if not isinstance(link, Subst):
         raise NotUnifiableError(link)
-    return singleton(*link)
+    return link
 
 
 def _link(sp: Term, tp: Term, pos: Position) -> tuple[str, Term] | FailureCause:
@@ -245,8 +249,8 @@ def _link(sp: Term, tp: Term, pos: Position) -> tuple[str, Term] | FailureCause:
 
 def link_of_frst_diff(s: Term, t: Term) -> Subst | FailureCause:
     """Total variant of sub_of_frst_diff: failure is a value, not an error."""
-    p = first_diff(s, t)
-    link = _link(subterm_at(s, p), subterm_at(t, p), p)
+    p, sp, tp = _conflict(s, t)
+    link = _link(sp, tp, p)
     return singleton(*link) if isinstance(link, tuple) else link
 
 
@@ -254,52 +258,24 @@ def _measure(s: Term, t: Term) -> int:
     return len(s.vars | t.vars)
 
 
-class _Run:
-    """The links one unification has made so far, in order.
+def _resolved(links: list[tuple[str, Term]]) -> Subst:
+    """The links composed right to left, as ``compose(σ_k, … compose(σ_1,
+    identity()))`` would, but each binding is built once.
 
-    ``resolve`` instantiates both terms with a link, records it and reports
-    the step to the trace; the unifier is built only at the end, by
-    ``unified``.
+    A link eliminates its variable for good, so no ``x_i`` occurs in ``u_j``
+    for ``j >= i`` and the variables are distinct (the triangular form).
+    The final image of ``x_i`` is therefore ``u_i`` under the final images
+    of the later links: resolving back to front needs one instantiation per
+    link, and no binding is ever rewritten.  The bindings added after a
+    subterm of ``u_i`` was instantiated are of ``x_1 … x_i``, which it does
+    not hold, so one memo serves every link and a subterm that several
+    images share is instantiated once.
     """
-
-    __slots__ = ("links", "trace", "vars_now")
-
-    def __init__(self, s: Term, t: Term, trace: TraceFn | None):
-        self.links: list[tuple[str, Term]] = []
-        self.trace = trace
-        self.vars_now = _measure(s, t) if trace is not None else 0
-
-    def resolve(self, s: Term, t: Term, p: Position, link: tuple[str, Term]) -> tuple[Term, Term]:
-        """Both terms instantiated by the link found at ``p``, with one memo,
-        so a subterm the two share is instantiated once."""
-        x, u = link
-        table = {x: u}
-        dom, memo = table.keys(), {}
-        s, t = (
-            _instantiate(s, table, dom, memo) if x in s.vars else s,
-            _instantiate(t, table, dom, memo) if x in t.vars else t,
-        )
-        self.links.append(link)
-        if self.trace is not None:
-            vars_before, self.vars_now = self.vars_now, _measure(s, t)
-            self.trace(TraceStep(len(self.links), p, link, vars_before, self.vars_now))
-        return s, t
-
-    def unified(self) -> Unified:
-        """The links composed right to left, as ``compose(σ_k, … compose(σ_1,
-        identity()))`` would, but each binding is built once.
-
-        A link eliminates its variable from both terms for good, so no
-        ``x_i`` occurs in ``u_j`` for ``j >= i`` and the variables are
-        distinct.  The final image of ``x_i`` is therefore ``u_i`` under the
-        final images of the later links: resolving back to front needs one
-        instantiation per link, and no binding is ever rewritten.
-        """
-        table: dict[str, Term] = {}
-        done = table.keys()
-        for x, u in reversed(self.links):
-            table[x] = u if done.isdisjoint(u.vars) else _instantiate(u, table, done, {})
-        return Unified(Subst._of(table), len(self.links))
+    table: dict[str, Term] = {}
+    done, memo = table.keys(), {}
+    for x, u in reversed(links):
+        table[x] = u if done.isdisjoint(u.vars) else _instantiate(u, table, done, memo)
+    return Subst._of(table)
 
 
 def next_position(s: Term, t: Term, p: Position) -> Position:
@@ -311,12 +287,11 @@ def next_position(s: Term, t: Term, p: Position) -> Position:
     above ``p``; unreachable when everything left of ``p`` has been
     resolved, but kept for totality).  Parents with one symbol but
     different argument counts are ill-formed: ValueError, as in
-    ``first_diff``.
+    ``first_diff``.  A position missing from either term raises
+    ``InvalidPositionError``, as in ``subterm_at``.
     """
-    if not is_valid_position(s, p):
-        raise InvalidPositionError(s, p, p)
-    if not is_valid_position(t, p):
-        raise InvalidPositionError(t, p, p)
+    subterm_at(s, p)
+    subterm_at(t, p)
     found = _next_position(s, t, p)
     return ROOT if found is None else found[0]
 
@@ -352,18 +327,32 @@ def _unify(s: Term, t: Term, trace: TraceFn | None, rescan: _Scan) -> UnifyOutco
     """The loop of all three algorithms: find a conflict, resolve it, repeat.
 
     The first conflict is searched from the root; after each resolved
-    conflict, ``rescan`` finds the next one.
+    conflict, ``rescan`` finds the next one.  The links are kept in order
+    and resolved into the unifier only at the end.
     """
-    run = _Run(s, t, trace)
+    links: list[tuple[str, Term]] = []
+    vars_now = _measure(s, t) if trace is not None else 0
     conflict = _scan_from_root(s, t, ROOT)
     while conflict is not None:
         p, sp, tp = conflict
         link = _link(sp, tp, p)
         if not isinstance(link, tuple):
             return Failed(link)
-        s, t = run.resolve(s, t, p, link)
+        # Both terms instantiated by the link, with one memo, so a subterm
+        # the two share is instantiated once.
+        x, u = link
+        table = {x: u}
+        dom, memo = table.keys(), {}
+        s, t = (
+            _instantiate(s, table, dom, memo) if x in s.vars else s,
+            _instantiate(t, table, dom, memo) if x in t.vars else t,
+        )
+        links.append(link)
+        if trace is not None:
+            vars_before, vars_now = vars_now, _measure(s, t)
+            trace(TraceStep(len(links), p, link, vars_before, vars_now))
         conflict = rescan(s, t, p)
-    return run.unified()
+    return Unified(_resolved(links), len(links))
 
 
 def _scan_from_root(s: Term, t: Term, resolved: Position) -> _Conflict | None:

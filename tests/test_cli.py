@@ -96,6 +96,25 @@ class TestParseTerm:
         with pytest.raises(ParseError, match="trailing"):
             parse_term("a b", SIG)
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("f(X,", "offset 4: unexpected end of input"),
+            ("   ", "offset 3: unexpected end of input"),
+            ("g(\u00e9)", "offset 2: unexpected character '\u00e9'"),
+            ("-", "offset 0: unexpected character '-'"),
+            ("g(a)\u2003 a", "offset 6: unexpected trailing input 'a'"),
+        ],
+    )
+    def test_edge_input_messages(self, text, message):
+        with pytest.raises(ParseError) as err:
+            parse_term(text, SIG)
+        assert str(err.value) == message
+
+    def test_unicode_whitespace_around_a_term(self):
+        assert parse_term("f(X, a)   ", SIG) == SIG.app("f", X, a)
+        assert parse_term("\u2003g(a)", SIG) == SIG.app("g", a)
+
     def test_round_trip(self):
         for text in ("X", "a", "f(X,g(a))", "g(g(f(b,Y)))", "f(f(X,X),f(Y,Y))"):
             t = parse_term(text, SIG)
@@ -121,6 +140,18 @@ class TestParseSubst:
     def test_requires_variable_key(self):
         with pytest.raises(ParseError, match="expected a variable"):
             parse_subst("{a -> b}", SIG)
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("{X -> a,}", "offset 8: expected a variable, got '}'"),
+            ("{X -> a,", "offset 8: unexpected end of input"),
+        ],
+    )
+    def test_edge_input_messages(self, text, message):
+        with pytest.raises(ParseError) as err:
+            parse_subst(text, SIG)
+        assert str(err.value) == message
 
 
 class TestCmdUnify:

@@ -147,3 +147,12 @@ class TestEnumeratedUnifiers:
         s, t = f(X, g(Y)), f(X, X)
         for sigma in enumerated_unifiers(s, t, bound):
             assert is_unifier(sigma, s, t)
+
+    def test_100000_deep_chains(self):
+        """The walk over the pair takes any depth, with no interpreter frames."""
+        bound = EnumBound(0, ("X",), SIG)
+        s, t = X, a
+        for _ in range(100_000):
+            s, t = g(s), g(t)
+        assert enumerated_unifiers(s, t, bound) == [Subst({"X": a})]
+        assert enumerated_unifiers(X, t, bound) == []

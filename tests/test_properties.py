@@ -298,16 +298,18 @@ def test_enumerated_unifiers_matches_unpruned_filter(pair):
 # repeats a subterm object outright.
 VARS5 = ("V", "W", "X", "Y", "Z")
 _leaves5 = st.sampled_from([Var(n) for n in VARS5] + [SIG3.app("a"), SIG3.app("b")])
-_terms5 = st.recursive(
-    _leaves5,
-    lambda c: st.one_of(
+
+
+def _compounds(c):
+    return st.one_of(
         st.builds(lambda u: SIG3.app("g", u), c),
         st.builds(lambda u, v: SIG3.app("f", u, v), c, c),
         st.builds(lambda u, v, w: SIG3.app("h", u, v, w), c, c, c),
         st.builds(lambda u, v: SIG3.app("h", u, v, u), c, c),
-    ),
-    max_leaves=8,
-)
+    )
+
+
+_terms5 = st.recursive(_leaves5, _compounds, max_leaves=8)
 _images5 = st.recursive(
     _leaves5,
     lambda c: st.one_of(
@@ -461,15 +463,24 @@ def _robinson_fold(equations):
     return sigma
 
 
+VARS8 = VARS5 + ("S", "T", "U")
+_terms8 = st.recursive(
+    st.sampled_from([Var(n) for n in VARS8] + [SIG3.app("a"), SIG3.app("b")]),
+    _compounds,
+    max_leaves=8,
+)
+
+
 @st.composite
 def equation_lists(draw):
-    """Two to four equations: each a term against an instance of it under
-    one shared substitution, so that many sets unify, or an unrelated pair."""
-    sigma = Subst(draw(st.dictionaries(st.sampled_from(VARS5), _images5, min_size=1, max_size=4)))
+    """Two to six equations over eight variables: each a term against an
+    instance of it under one shared substitution, so that many sets unify,
+    or an unrelated pair."""
+    sigma = Subst(draw(st.dictionaries(st.sampled_from(VARS8), _images5, min_size=1, max_size=6)))
     equations = []
-    for _ in range(draw(st.integers(2, 4))):
-        u = draw(_terms5)
-        v = sigma.apply(u) if draw(st.booleans()) else draw(_terms5)
+    for _ in range(draw(st.integers(2, 6))):
+        u = draw(_terms8)
+        v = sigma.apply(u) if draw(st.booleans()) else draw(_terms8)
         equations.append((u, v) if draw(st.booleans()) else (v, u))
     return equations
 

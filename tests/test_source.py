@@ -30,3 +30,49 @@ def test_no_recursion_limit_changes(path):
         if isinstance(node, (ast.Name, ast.Attribute, ast.alias))
     )
     assert "setrecursionlimit" not in set(names), f"{path.name} touches sys.setrecursionlimit"
+
+
+# The recursive walks still left, each one interpreter frame per level of
+# its input; every other walk in the engine is a loop.
+RECURSIVE_WALKS = {
+    "cli._parse_term",
+    "terms.positions_of",
+    "terms.occurrences.walk",
+    "substitution._match_into",
+    "oracle._image_may_equal",
+}
+
+
+def _calls_itself(func):
+    for node in ast.walk(func):
+        if isinstance(node, ast.Call):
+            callee = node.func
+            if isinstance(callee, ast.Name) and callee.id == func.name:
+                return True
+            if (isinstance(callee, ast.Attribute) and callee.attr == func.name
+                    and isinstance(callee.value, ast.Name) and callee.value.id in ("self", "cls")):
+                return True
+    return False
+
+
+def _self_calling(node, qualname):
+    """Qualified names of the functions under ``node`` that call themselves by name."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            name = f"{qualname}.{child.name}"
+            if not isinstance(child, ast.ClassDef) and _calls_itself(child):
+                yield name
+            yield from _self_calling(child, name)
+        else:
+            yield from _self_calling(child, qualname)
+
+
+def test_recursion_only_in_the_listed_walks():
+    """A new recursive walk fails this test, and so does a listed one that
+    has become a loop, so the list stays true."""
+    found = {
+        name
+        for path in SOURCES
+        for name in _self_calling(ast.parse(path.read_text(encoding="utf-8")), path.stem)
+    }
+    assert found == RECURSIVE_WALKS

@@ -262,6 +262,17 @@ class TestSharedStructure:
         assert all(mgu == mgus[0] for mgu in mgus)
         assert is_unifier(mgus[0], s, t)
 
+    def test_resolution_instantiates_a_shared_subterm_once(self):
+        """Every mgu is resolved back to front with one memo, so the image of
+        ``X_{i-1}`` is the very node inside the image of ``X_i``: the mgu
+        has as many distinct nodes as the chains, not one copy per link."""
+        n = 12
+        s, t = shared_family(n)
+        for out in [algorithm(s, t) for algorithm in ALGORITHMS] + [solve_pair(s, t)]:
+            for z in "XY":
+                images = [out.mgu.get(f"{z}{i}") for i in range(n + 1)]
+                assert all(images[i].args[0] is images[i - 1] for i in range(2, n + 1))
+
 
 def h(*args):
     """``h`` at whatever arity it is given: ill-formed beside another arity."""
@@ -477,6 +488,16 @@ class TestNextPosition:
     def test_invalid_position_rejected(self):
         with pytest.raises(InvalidPositionError):
             next_position(g(a), g(a), (2,))
+
+    def test_invalid_position_reports_shortest_prefix(self):
+        with pytest.raises(InvalidPositionError) as err:
+            next_position(f(a, b), f(a, b), (1, 1, 1))
+        assert err.value.prefix == (1, 1)
+        assert str(err.value).endswith("no subterm at 1.1")
+        t = f(a, b)
+        with pytest.raises(InvalidPositionError) as err:
+            next_position(f(g(g(a)), b), t, (1, 1, 1))
+        assert (err.value.term, err.value.prefix) == (t, (1, 1))
 
     def test_parent_head_clash_returns_parent(self):
         # a conflict above the scanned position is reported at the parent
