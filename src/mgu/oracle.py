@@ -8,7 +8,9 @@ It eliminates ``X := u`` by instantiating, through the one-entry table
 eliminations are kept in order and resolved into the mgu once, back to
 front, as the paper algorithms' links are, so no solved binding is ever
 rewritten; each elimination still visits every pending equation, so the
-solver is quadratic when many equations are pending.
+solver is quadratic when many equations are pending.  The pending
+equations are a list stack, each with the link chain (``mgu.terms``) of
+its position in the equation it came from.
 ``enum_terms`` and ``enum_substitutions`` enumerate every term and every
 substitution under a bound, and ``enumerated_unifiers`` filters the latter
 down to the actual unifiers of a pair; together they give finite, exact
@@ -28,15 +30,14 @@ so failures are reproducible by index.
 from __future__ import annotations
 
 import itertools
-from collections import deque
 from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import lru_cache
 
 from .substitution import Subst, _instantiate
-from .terms import App, Position, Signature, Term, Var
+from .terms import App, Signature, Term, Var, _ill_formed, _Link, _position
 from .unify import Clash, Failed, OccursCheck, Unified, UnifyOutcome, is_unifier
-from .unify import _ill_formed, _resolved
+from .unify import _resolved
 
 
 @dataclass(frozen=True)
@@ -65,21 +66,6 @@ class EnumBound:
         object.__setattr__(self, "signature", signature)
 
 
-# A position as a chain of (parent, index) links, the root being None: a
-# child's link costs one pair, not a copy of its parent's position.
-_Link = tuple["_Link", int] | None
-
-
-def _position(link: _Link) -> Position:
-    """The position a chain of links stands for."""
-    out: list[int] = []
-    while link is not None:
-        link, i = link
-        out.append(i)
-    out.reverse()
-    return tuple(out)
-
-
 def solve_equations(eqs: EquationSet) -> UnifyOutcome:
     """Unify a whole equation system; returns an idempotent mgu or a failure.
 
@@ -92,12 +78,11 @@ def solve_equations(eqs: EquationSet) -> UnifyOutcome:
     Applications of one symbol with different argument counts are
     ill-formed: ValueError, as in ``first_diff``.
     """
-    work: deque[tuple[Term, Term, _Link]] = deque(
-        (s, t, None) for s, t in eqs.equations
-    )
+    # A stack: its last entry is the next equation processed.
+    work: list[tuple[Term, Term, _Link]] = [(s, t, None) for s, t in reversed(eqs.equations)]
     solved: list[tuple[str, Term]] = []
     while work:
-        s, t, link = work.popleft()
+        s, t, link = work.pop()
         if s == t:
             continue
         if isinstance(s, Var):
@@ -107,12 +92,11 @@ def solve_equations(eqs: EquationSet) -> UnifyOutcome:
         else:  # two applications
             if s.symbol != t.symbol:
                 return Failed(Clash(_position(link), s.symbol, t.symbol))
-            if len(s.args) != len(t.args):
+            xs, ys = s.args, t.args
+            if len(xs) != len(ys):
                 raise _ill_formed(s, t)
-            work.extendleft(
-                (a, b, (link, i))
-                for i, (a, b) in reversed(list(enumerate(zip(s.args, t.args), start=1)))
-            )
+            for i in range(len(xs), 0, -1):
+                work.append((xs[i - 1], ys[i - 1], (link, i)))
             continue
         if x in u.vars:
             return Failed(OccursCheck(x, u, _position(link)))
@@ -121,14 +105,14 @@ def solve_equations(eqs: EquationSet) -> UnifyOutcome:
         # are kept as they are.
         table = {x: u}
         dom, memo = table.keys(), {}
-        work = deque(
+        work = [
             (
                 _instantiate(a, table, dom, memo) if x in a.vars else a,
                 _instantiate(b, table, dom, memo) if x in b.vars else b,
                 q,
             )
             for a, b, q in work
-        )
+        ]
         solved.append((x, u))
     return Unified(_resolved(solved), len(solved))
 

@@ -12,7 +12,8 @@ from __future__ import annotations
 from collections.abc import Iterable, Iterator, Mapping, Set as AbstractSet
 from dataclasses import dataclass
 
-from .terms import _SMALL, App, Position, ROOT, Term, Var, is_variable_name
+from .terms import _SMALL, App, Position, Term, Var, is_variable_name
+from .terms import _ill_formed, _Link, _position
 
 
 class Subst:
@@ -245,26 +246,29 @@ class NoMatch:
 MatchResult = Matched | NoMatch
 
 
-def _match_into(pattern: Term, target: Term, pos: Position, env: dict[str, Term]) -> NoMatch | None:
+def _match_into(pattern: Term, target: Term, env: dict[str, Term]) -> NoMatch | None:
     """Leftmost-outermost one-sided matching into a shared binding map.
 
     ``env`` keeps raw bindings (including identities) so that consistency
-    checks see every earlier decision.
+    checks see every earlier decision.  One loop over a stack of pairs, each
+    with the link chain of its position, holding the arguments right to
+    left; the position is built only for the failure.  Two applications of
+    one symbol with different argument counts raise ValueError.
     """
-    if isinstance(pattern, Var):
-        seen = env.get(pattern.name)
-        if seen is None:
-            env[pattern.name] = target
-            return None
-        if seen == target:
-            return None
-        return NoMatch("inconsistent-binding", pos)
-    if not isinstance(target, App) or target.symbol != pattern.symbol:
-        return NoMatch("clash", pos)
-    for i, (a, b) in enumerate(zip(pattern.args, target.args), start=1):
-        bad = _match_into(a, b, pos + (i,), env)
-        if bad is not None:
-            return bad
+    todo: list[tuple[Term, Term, _Link]] = [(pattern, target, None)]
+    while todo:
+        pattern, target, link = todo.pop()
+        if isinstance(pattern, Var):
+            if env.setdefault(pattern.name, target) != target:
+                return NoMatch("inconsistent-binding", _position(link))
+        elif not isinstance(target, App) or target.symbol != pattern.symbol:
+            return NoMatch("clash", _position(link))
+        else:
+            xs, ys = pattern.args, target.args
+            if len(xs) != len(ys):
+                raise _ill_formed(pattern, target)
+            for i in range(len(xs), 0, -1):
+                todo.append((xs[i - 1], ys[i - 1], (link, i)))
     return None
 
 
@@ -273,10 +277,12 @@ def match_terms(pattern: Term, target: Term) -> MatchResult:
 
     On success the witness binds only variables of the pattern and is the
     unique such substitution on them; on failure the first conflicting
-    position (leftmost-outermost) is reported.
+    position (leftmost-outermost) is reported.  Applications of one symbol
+    with different argument counts, which ``Signature.app`` never builds,
+    are ill-formed: ValueError, as in the unification algorithms.
     """
     env: dict[str, Term] = {}
-    bad = _match_into(pattern, target, ROOT, env)
+    bad = _match_into(pattern, target, env)
     return Matched(Subst(env)) if bad is None else bad
 
 
@@ -289,9 +295,12 @@ def more_general(theta: Subst, sigma: Subst) -> bool:
     reproduces sigma.  The verification matters: the matching constraints
     alone cannot see that gamma must leave untouched variables that sigma
     leaves untouched (e.g. {X -> Y} is not more general than {X -> a}).
+    The variables are matched in name order, and images that apply one
+    symbol to different argument counts are ill-formed: ValueError, as in
+    ``match_terms``, once matching reaches them.
     """
     env: dict[str, Term] = {}
-    for x in theta.dom() | sigma.dom():
-        if _match_into(theta.get(x), sigma.get(x), ROOT, env) is not None:
+    for x in sorted(theta.dom() | sigma.dom()):
+        if _match_into(theta.get(x), sigma.get(x), env) is not None:
             return False
     return compose(Subst(env), theta) == sigma

@@ -20,11 +20,16 @@ on them and recurses at most ``_SMALL`` levels whatever the input.
 
 A position is a tuple of 1-based child indices; ``()`` is the root.  The
 textual form is dot-separated indices with ``e`` for the root, e.g. ``2.1``.
+A walk that branches (``_preorder`` here, matching, the equation-set
+oracle) tracks where it is as a chain of ``(parent, index)`` links and
+turns a chain into a position only where it reports one, so no level
+copies its parent's position; a walk along one position (``subterm_at``,
+``replace_at``) takes the nodes on it from ``_spine``.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable, Iterator, Mapping
 
 Position = tuple[int, ...]
 
@@ -169,6 +174,11 @@ class App(Term):
         return format_term(self)
 
 
+def _ill_formed(s: App, t: App) -> ValueError:
+    """The error for two applications of one symbol with different argument counts."""
+    return ValueError(f"terms are ill-formed: {s} and {t} share a symbol but not an arity")
+
+
 def _equal_args(s: App, t: App) -> bool:
     """Whether two applications of one symbol have equal arguments.
 
@@ -267,20 +277,49 @@ class Signature:
         return App(symbol, args)
 
 
+# A position as a chain of (parent, index) links, the root being None: a
+# child's link costs one pair, not a copy of its parent's position.
+_Link = tuple["_Link", int] | None
+
+
+def _position(link: _Link) -> Position:
+    """The position a chain of links stands for."""
+    out: list[int] = []
+    while link is not None:
+        link, i = link
+        out.append(i)
+    out.reverse()
+    return tuple(out)
+
+
+def _preorder(t: Term) -> Iterator[tuple[_Link, Term]]:
+    """Every subterm of ``t`` with the link chain of its position, in
+    lexicographic order of positions.
+
+    One loop over a stack that holds the children right to left, so depth
+    costs no interpreter frames.
+    """
+    todo: list[tuple[_Link, Term]] = [(None, t)]
+    while todo:
+        link, u = todo.pop()
+        yield link, u
+        if isinstance(u, App):
+            args = u.args
+            for i in range(len(args), 0, -1):
+                todo.append(((link, i), args[i - 1]))
+
+
 def positions_of(t: Term) -> list[Position]:
     """All positions of ``t``, in lexicographic (depth-first) order.
 
     The result is prefix-closed: the parent of every listed position is
     listed too.
     """
-    out: list[Position] = [ROOT]
-    if isinstance(t, App):
-        for i, arg in enumerate(t.args, start=1):
-            out.extend((i,) + q for q in positions_of(arg))
-    return out
+    return [_position(link) for link, _ in _preorder(t)]
 
 
 def is_valid_position(t: Term, p: Position) -> bool:
+    # Its own loop: the exception ``_spine`` raises formats the term.
     for i in p:
         if not isinstance(t, App) or not 1 <= i <= len(t.args):
             return False
@@ -288,14 +327,22 @@ def is_valid_position(t: Term, p: Position) -> bool:
     return True
 
 
+def _spine(t: Term, p: Position) -> list[Term]:
+    """The subterms of ``t`` along ``p``, root first, ending with the one at
+    ``p``; raises InvalidPositionError with the shortest prefix of ``p``
+    that falls outside ``t``."""
+    spine = [t]
+    for depth, i in enumerate(p):
+        if not isinstance(t, App) or not 1 <= i <= len(t.args):
+            raise InvalidPositionError(spine[0], p, p[: depth + 1])
+        t = t.args[i - 1]
+        spine.append(t)
+    return spine
+
+
 def subterm_at(t: Term, p: Position) -> Term:
     """The subterm of ``t`` at ``p``; raises InvalidPositionError otherwise."""
-    cur = t
-    for depth, i in enumerate(p):
-        if not isinstance(cur, App) or not 1 <= i <= len(cur.args):
-            raise InvalidPositionError(t, p, p[: depth + 1])
-        cur = cur.args[i - 1]
-    return cur
+    return _spine(t, p)[-1]
 
 
 def replace_at(t: Term, p: Position, s: Term) -> Term:
@@ -304,13 +351,8 @@ def replace_at(t: Term, p: Position, s: Term) -> Term:
     Every position of ``t`` disjoint from ``p`` is left untouched.  Raises
     InvalidPositionError, like ``subterm_at``, if ``p`` is not in ``t``.
     """
-    spine: list[App] = []
-    cur = t
-    for depth, i in enumerate(p):
-        if not isinstance(cur, App) or not 1 <= i <= len(cur.args):
-            raise InvalidPositionError(t, p, p[: depth + 1])
-        spine.append(cur)
-        cur = cur.args[i - 1]
+    spine = _spine(t, p)
+    spine.pop()  # the subterm being replaced
     for node, i in zip(reversed(spine), reversed(p)):
         s = App(node.symbol, node.args[: i - 1] + (s,) + node.args[i:])
     return s
@@ -323,17 +365,7 @@ def vars_of(t: Term) -> frozenset[str]:
 
 def occurrences(t: Term, s: Term) -> list[Position]:
     """All positions of ``t`` where ``s`` occurs, in lexicographic order."""
-    out: list[Position] = []
-
-    def walk(u: Term, prefix: Position) -> None:
-        if u == s:
-            out.append(prefix)
-        if isinstance(u, App):
-            for i, arg in enumerate(u.args, start=1):
-                walk(arg, prefix + (i,))
-
-    walk(t, ROOT)
-    return out
+    return [_position(link) for link, u in _preorder(t) if u == s]
 
 
 def concat(p: Position, q: Position) -> Position:

@@ -51,6 +51,7 @@ from .terms import (
     ROOT,
     Term,
     Var,
+    _ill_formed,
     format_position,
     subterm_at,
 )
@@ -197,11 +198,6 @@ def _descend(s: Term, t: Term) -> _Conflict:
         else:  # same symbol, no differing argument: ill-formed arities
             raise _ill_formed(s, t)
     return tuple(pos), s, t
-
-
-def _ill_formed(s: App, t: App) -> ValueError:
-    """The error for two applications of one symbol with different argument counts."""
-    return ValueError(f"terms are ill-formed: {s} and {t} share a symbol but not an arity")
 
 
 def resolving_diff(s: Term, t: Term) -> Position:

@@ -104,6 +104,9 @@ class TestParseTerm:
             ("g(\u00e9)", "offset 2: unexpected character '\u00e9'"),
             ("-", "offset 0: unexpected character '-'"),
             ("g(a)\u2003 a", "offset 6: unexpected trailing input 'a'"),
+            ("f(a b)", "offset 4: expected ')', got 'b'"),
+            ("f(,a)", "offset 2: expected a term, got ','"),
+            (")", "offset 0: expected a term, got ')'"),
         ],
     )
     def test_edge_input_messages(self, text, message):
@@ -146,6 +149,9 @@ class TestParseSubst:
         [
             ("{X -> a,}", "offset 8: expected a variable, got '}'"),
             ("{X -> a,", "offset 8: unexpected end of input"),
+            ("{X a}", "offset 3: expected '->', got 'a'"),
+            ("X -> a", "offset 0: expected '{', got 'X'"),
+            ("{X -> a b}", "offset 8: expected '}', got 'b'"),
         ],
     )
     def test_edge_input_messages(self, text, message):

@@ -216,6 +216,19 @@ class TestMatch:
         out = match_terms(f(X, X), f(X, X))
         assert out == Matched(identity())
 
+    def test_one_symbol_at_two_arities_is_ill_formed(self):
+        # Applications that Signature.app never builds: no witness can
+        # turn f(X) into f(a,b), so there is none to return.
+        with pytest.raises(ValueError, match="ill-formed"):
+            match_terms(App("f", (X,)), f(a, b))
+        with pytest.raises(ValueError, match="ill-formed"):
+            match_terms(f(X, a), App("f", (a,)))
+
+    def test_100000_deep_chains(self):
+        n = 100_000
+        assert match_terms(chain(n, X), chain(n, a)) == Matched(Subst({"X": a}))
+        assert match_terms(chain(n, a), chain(n, b)) == NoMatch("clash", (1,) * n)
+
 
 class TestMoreGeneral:
     def test_reflexive(self):
@@ -231,6 +244,19 @@ class TestMoreGeneral:
     def test_gamma_may_not_move_untouched_variables(self):
         # gamma = {Y -> a} satisfies the X constraint but then moves Y too.
         assert not more_general(Subst({"X": Y}), Subst({"X": a}))
+
+    def test_one_symbol_at_two_arities_is_ill_formed(self):
+        with pytest.raises(ValueError, match="ill-formed"):
+            more_general(Subst({"X": App("f", (Y,))}), Subst({"X": f(a, b)}))
+        # Matched in name order, whatever the string hashing: a clash at X
+        # comes before Y's ill-formed images, one at Z after them.
+        assert not more_general(Subst({"X": a, "Y": App("f", (Z,))}), Subst({"X": b, "Y": f(a, b)}))
+        with pytest.raises(ValueError, match="ill-formed"):
+            more_general(Subst({"Y": App("f", (Z,)), "Z": a}), Subst({"Y": f(a, b), "Z": b}))
+
+    def test_100000_deep_chains(self):
+        n = 100_000
+        assert more_general(Subst({"Y": chain(n, X)}), Subst({"X": a, "Y": chain(n, a)}))
 
     def test_identity_most_general(self):
         assert more_general(identity(), Subst({"X": f(a, b), "Y": Z}))

@@ -190,6 +190,10 @@ class TestPositions:
         for p in ps:
             assert p[:-1] in ps or p == ROOT
 
+    def test_positions_of_3000_deep_chain(self):
+        n = 3000
+        assert positions_of(chain(n, a)) == [(1,) * k for k in range(n + 1)]
+
     def test_is_valid_position(self):
         assert is_valid_position(X, ROOT)
         assert not is_valid_position(f(a, b), (3,))
@@ -249,6 +253,10 @@ class TestVarsAndOccurrences:
 
     def test_occurrences_in_ground_term(self):
         assert occurrences(f(a, b), X) == []
+
+    def test_occurrences_in_100000_deep_chain(self):
+        n = 100_000
+        assert occurrences(chain(n, a), a) == [(1,) * n]
 
 
 class TestSizeAndPositionText:
