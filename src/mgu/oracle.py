@@ -4,13 +4,14 @@
 delete / decompose / orient / eliminate rules, a different algorithm family
 from difference resolving, so agreement between the two is real evidence.
 It eliminates ``X := u`` by instantiating, through the one-entry table
-``{X: u}`` and one memo, only the pending equations that hold ``X``.  The
-eliminations are kept in order and resolved into the mgu once, back to
-front, as the paper algorithms' links are, so no solved binding is ever
-rewritten; each elimination still visits every pending equation, so the
-solver is quadratic when many equations are pending.  The pending
-equations are a list stack, each with the link chain (``mgu.terms``) of
-its position in the equation it came from.
+``{X: u}`` and one memo, only the pending equations that hold ``X``, which
+an index from each variable to the pending equations holding it finds
+without visiting the others (the role of Martelli & Montanari's
+multiequation counters).  The eliminations are kept in order and resolved
+into the mgu once, back to front, as the paper algorithms' links are, so
+no solved binding is ever rewritten.  The pending equations are a list
+stack, each with the link chain (``mgu.terms``) of its position in the
+equation it came from.
 ``enum_terms`` and ``enum_substitutions`` enumerate every term and every
 substitution under a bound, and ``enumerated_unifiers`` filters the latter
 down to the actual unifiers of a pair; together they give finite, exact
@@ -30,14 +31,19 @@ so failures are reproducible by index.
 from __future__ import annotations
 
 import itertools
+from collections import defaultdict
 from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import lru_cache
 
 from .substitution import Subst, _instantiate
-from .terms import App, Signature, Term, Var, _ill_formed, _Link, _position
+from .terms import App, Signature, Term, Var, _ill_formed, _position
 from .unify import Clash, Failed, OccursCheck, Unified, UnifyOutcome, is_unifier
 from .unify import _resolved
+
+
+# The most pending equations an elimination scans without the index.
+_UNLISTED = 16
 
 
 @dataclass(frozen=True)
@@ -78,11 +84,23 @@ def solve_equations(eqs: EquationSet) -> UnifyOutcome:
     Applications of one symbol with different argument counts are
     ill-formed: ValueError, as in ``first_diff``.
     """
-    # A stack: its last entry is the next equation processed.
-    work: list[tuple[Term, Term, _Link]] = [(s, t, None) for s, t in reversed(eqs.equations)]
-    solved: list[tuple[str, Term]] = []
+    # A stack: its last entry is the next equation processed.  ``holders``
+    # lists the entries of ``work[:listed]`` under each variable they hold;
+    # a listed entry is a list, rewritten in place by an elimination and
+    # emptied when popped.  An elimination scans the entries above
+    # ``work[:listed]`` itself while there are at most ``_UNLISTED`` of
+    # them, and lists them first otherwise, so that small systems pay for
+    # no index and many pending equations are not scanned at every step.
+    work: list = [(s, t, None) for s, t in reversed(eqs.equations)]
+    holders: defaultdict[str, list[list]] = defaultdict(list)
+    listed = 0
+    solved: dict[str, Term] = {}
     while work:
-        s, t, link = work.pop()
+        entry = work.pop()
+        s, t, link = entry
+        if len(work) < listed:
+            listed = len(work)
+            entry.clear()
         if s == t:
             continue
         if isinstance(s, Var):
@@ -100,20 +118,39 @@ def solve_equations(eqs: EquationSet) -> UnifyOutcome:
             continue
         if x in u.vars:
             return Failed(OccursCheck(x, u, _position(link)))
-        # Eliminate x := u from the pending equations through the one-entry
-        # table, with one memo for every term it rewrites; terms without x
-        # are kept as they are.
+        # Eliminate x := u from the pending equations that hold x, through
+        # the one-entry table, with one memo for every term it rewrites;
+        # terms without x are kept as they are.  A rewritten listed entry
+        # now holds the variables of u.
+        if len(work) - listed > _UNLISTED:
+            for i in range(listed, len(work)):
+                work[i] = pending = list(work[i])
+                for y in itertools.chain(pending[0].vars, pending[1].vars):
+                    holders[y].append(pending)
+            listed = len(work)
         table = {x: u}
         dom, memo = table.keys(), {}
-        work = [
-            (
-                _instantiate(a, table, dom, memo) if x in a.vars else a,
-                _instantiate(b, table, dom, memo) if x in b.vars else b,
-                q,
-            )
-            for a, b, q in work
-        ]
-        solved.append((x, u))
+        for i in range(listed, len(work)):
+            a, b, q = work[i]
+            if x in a.vars or x in b.vars:
+                work[i] = (
+                    _instantiate(a, table, dom, memo) if x in a.vars else a,
+                    _instantiate(b, table, dom, memo) if x in b.vars else b,
+                    q,
+                )
+        for pending in holders.pop(x, ()):
+            if not pending:  # popped already
+                continue
+            a, b, _ = pending
+            if x not in a.vars and x not in b.vars:  # listed twice, rewritten already
+                continue
+            if x in a.vars:
+                pending[0] = _instantiate(a, table, dom, memo)
+            if x in b.vars:
+                pending[1] = _instantiate(b, table, dom, memo)
+            for y in u.vars:
+                holders[y].append(pending)
+        solved[x] = u
     return Unified(_resolved(solved), len(solved))
 
 

@@ -135,12 +135,23 @@ class App(Term):
         args = tuple(args)
         self.symbol = symbol
         self.args = args
+        # A lone child's variable set is reused, and the sets of the third
+        # and later children holding variables are joined in one union, so
+        # construction is linear in the arity.
         vs = _NO_VARS
+        more: list[frozenset[str]] | None = None
         size = 1
         for a in args:
             size += a.size
             if a.vars:
-                vs = vs | a.vars if vs else a.vars
+                if not vs:
+                    vs = a.vars
+                elif more is None:
+                    vs, more = vs | a.vars, []
+                else:
+                    more.append(a.vars)
+        if more:
+            vs = vs.union(*more)
         self.vars = vs
         self.size = size
         self._hash = hash(("app", symbol, args))

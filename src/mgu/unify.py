@@ -1,42 +1,39 @@
 """First-order unification by difference resolving.
 
-Three equivalent algorithms are provided, and they run one loop: find the
-leftmost-outermost position where the two terms disagree, resolve it with a
-one-variable link or stop with the failure cause found there, instantiate
-both terms and repeat.  The links are composed once, at the end, by
-``_resolved``, which the equation-set oracle shares; that gives the same
-substitution as composing each link into the unifier as it is made,
-without rewriting every earlier binding at every step.  The
-algorithms differ only in how they find the next conflict:
+Three equivalent algorithms are provided.  Each finds the leftmost-outermost
+position where the two terms disagree, resolves it with a one-variable link
+or stops with the failure cause found there, and repeats with the link in
+force.  The links are composed once, at the end, by ``_resolved``, which the
+equation-set oracle shares.
 
-- ``classic_unify`` and ``robinson_unify`` rescan from the root.  Their
-  steps are ``sub_of_frst_diff`` and ``link_of_frst_diff``; the first's
-  precondition violations (clash, occurs) are exactly the failure causes
-  the second returns as values, so one step serves both;
-- ``robinson_unify_efficient`` resumes right of the last resolved conflict
-  (``next_position``), since instantiation can never create a difference
-  at or left of a resolved position.
+- ``classic_unify`` and ``robinson_unify``, the literal reference,
+  instantiate both terms with each link and rescan from the root.  Their
+  steps are ``sub_of_frst_diff`` and ``link_of_frst_diff``, whose causes
+  are the same, so one loop serves both;
+- ``robinson_unify_efficient`` never instantiates: after the first link
+  it walks the pairs right of it once, left to right, reading every
+  variable through the links made so far (the substitution applied
+  lazily, after Corbin & Bidoit).  A pair of applications expanded once
+  is skipped when met again, so shared subterms cost their distinct pairs,
+  and the occurs check follows variable names through the bound images.
+  Only what a result shows is instantiated: ``OccursCheck.term`` and a
+  traced binding.  Resolving conflicts left to right never creates one
+  left of a resolved one, so the conflicts, steps, positions and causes
+  are those of ``robinson_unify``.
 
-Every walk in the loop (equality past 16 nodes, instantiation, both scans)
-is iterative and builds a position once, as a list turned into a tuple, so
-the depth of the terms costs neither interpreter frames nor repeated tuple
-copies.  A rescan from the root meets the resolved part again as pairs
-that ``==`` has already made share their arguments: one identity test per
-pair of more than 16 nodes.
-
-Most calls fail at their first conflict, so the fixed cost of a call
-counts: a scan hands over the two subterms it found different along with
-their position, so each conflict is walked to once, and the outcome
-records are built without the generated per-field stores.  ``first_diff``
-and ``next_position`` stay the public forms of the two scans, and the
-paper's steps take their conflict from the same descent.
+Every walk is iterative, so depth costs no interpreter frames, and a
+position is built only where one is reported.  Most calls fail at their
+first conflict, which every algorithm finds with one descent that hands
+over the two subterms it found different.  ``first_diff`` and
+``next_position`` stay the public forms of the paper's scans.
 
 Two applications of one symbol with different argument counts, which
-``Signature.app`` never builds, make every algorithm raise ValueError.
+``Signature.app`` never builds, make every algorithm raise ValueError as
+soon as a scan reaches them, whatever their arguments.
 
-Every resolved conflict removes the bound variable from both terms, so the
-number of distinct variables strictly decreases: that is the termination
-measure, observable per step through the optional trace callback.
+Every link removes its variable from both terms, and its image is a
+subterm of them, so the number of distinct variables falls by exactly one
+per step: the termination measure, observable through the trace callback.
 """
 
 from __future__ import annotations
@@ -52,6 +49,8 @@ from .terms import (
     Term,
     Var,
     _ill_formed,
+    _Link,
+    _position,
     format_position,
     subterm_at,
 )
@@ -123,8 +122,6 @@ class TraceStep:
 TraceFn = Callable[[TraceStep], None]
 # A conflict: its position and the two distinct subterms found there.
 _Conflict = tuple[Position, Term, Term]
-# Finds the next conflict, given the position of the one just resolved.
-_Scan = Callable[[Term, Term, Position], _Conflict | None]
 
 
 def describe_failure(cause: FailureCause) -> str:
@@ -190,13 +187,15 @@ def _descend(s: Term, t: Term) -> _Conflict:
     subterms found there: the conflict, from the one walk that finds it."""
     pos: list[int] = []
     while type(s) is App and type(t) is App and s.symbol == t.symbol:
+        if len(s.args) != len(t.args):
+            raise _ill_formed(s, t)
         for i, (a, b) in enumerate(zip(s.args, t.args), start=1):
             if a != b:
                 pos.append(i)
                 s, t = a, b
                 break
-        else:  # same symbol, no differing argument: ill-formed arities
-            raise _ill_formed(s, t)
+        else:
+            raise RuntimeError(f"first_diff: {s} and {t} differ in no argument (internal bug)")
     return tuple(pos), s, t
 
 
@@ -254,24 +253,69 @@ def _measure(s: Term, t: Term) -> int:
     return len(s.vars | t.vars)
 
 
-def _resolved(links: list[tuple[str, Term]]) -> Subst:
+def _resolved(links: dict[str, Term]) -> Subst:
     """The links composed right to left, as ``compose(σ_k, … compose(σ_1,
     identity()))`` would, but each binding is built once.
 
-    A link eliminates its variable for good, so no ``x_i`` occurs in ``u_j``
-    for ``j >= i`` and the variables are distinct (the triangular form).
-    The final image of ``x_i`` is therefore ``u_i`` under the final images
-    of the later links: resolving back to front needs one instantiation per
-    link, and no binding is ever rewritten.  The bindings added after a
-    subterm of ``u_i`` was instantiated are of ``x_1 … x_i``, which it does
-    not hold, so one memo serves every link and a subterm that several
-    images share is instantiated once.
+    Each link passed the occurs check under the earlier ones, so no chain
+    of images leads back to its start: the final image of ``x`` is its
+    ``u`` under the final images of the bound variables ``u`` holds.  On
+    triangular links (no ``x_i`` in ``u_j`` for ``j >= i``) resolving them
+    in that order is back to front, one instantiation per link.
     """
     table: dict[str, Term] = {}
-    done, memo = table.keys(), {}
-    for x, u in reversed(links):
-        table[x] = u if done.isdisjoint(u.vars) else _instantiate(u, table, done, memo)
+    _resolve(links, links, table, {})  # a stack: the last link first
     return Subst._of(table)
+
+
+def _resolve(images: dict[str, Term], names: Iterable[str], table: dict[str, Term],
+             memo: dict) -> None:
+    """Enter in ``table`` the final image under ``images`` of each variable
+    in ``names``, all bound there, and of every bound variable they reach.
+
+    A variable is resolved after the bound variables of its image, so each
+    subterm instantiated on the way is final, and one memo serves every
+    variable: a subterm that several images share is instantiated once.
+    The names wait on a stack, so long chains of images cost no frames.
+    """
+    done, bound = table.keys(), images.keys()
+    todo = list(names)
+    while todo:
+        x = todo.pop()
+        u = images[x]
+        if not bound.isdisjoint(u.vars):
+            held = bound & u.vars
+            if not done >= held:
+                todo.append(x)
+                todo += [y for y in held if y not in table]
+                continue
+            u = _instantiate(u, table, done, memo)
+        table[x] = u
+
+
+def _image(u: Term, images: dict[str, Term]) -> Term:
+    """``u`` under the acyclic bindings ``images``, instantiated."""
+    table: dict[str, Term] = {}
+    memo: dict = {}
+    _resolve(images, images.keys() & u.vars, table, memo)
+    return _instantiate(u, table, table.keys(), memo) if table else u
+
+
+def _reaches(x: str, names: frozenset[str], images: dict[str, Term]) -> bool:
+    """Whether ``x``, unbound in the acyclic bindings ``images``, is in the
+    image of a bound variable reached from ``names``: the occurs check under
+    bindings, over variable names, each bound one expanded once."""
+    todo = list(images.keys() & names)
+    seen = set(todo)
+    while todo:
+        names = images[todo.pop()].vars
+        if x in names:
+            return True
+        for y in images.keys() & names:
+            if y not in seen:
+                seen.add(y)
+                todo.append(y)
+    return False
 
 
 def next_position(s: Term, t: Term, p: Position) -> Position:
@@ -319,18 +363,17 @@ def _next_position(s: Term, t: Term, p: Position) -> _Conflict | None:
     return None
 
 
-def _unify(s: Term, t: Term, trace: TraceFn | None, rescan: _Scan) -> UnifyOutcome:
-    """The loop of all three algorithms: find a conflict, resolve it, repeat.
+def _unify(s: Term, t: Term, trace: TraceFn | None) -> UnifyOutcome:
+    """The loop of ``classic_unify`` and ``robinson_unify``: find the first
+    conflict from the root, resolve it, instantiate both terms, repeat.
 
-    The first conflict is searched from the root; after each resolved
-    conflict, ``rescan`` finds the next one.  The links are kept in order
-    and resolved into the unifier only at the end.
+    The links are kept in order and resolved into the unifier only at the
+    end.
     """
-    links: list[tuple[str, Term]] = []
+    links: dict[str, Term] = {}
     vars_now = _measure(s, t) if trace is not None else 0
-    conflict = _scan_from_root(s, t, ROOT)
-    while conflict is not None:
-        p, sp, tp = conflict
+    while not s == t:
+        p, sp, tp = _descend(s, t)
         link = _link(sp, tp, p)
         if not isinstance(link, tuple):
             return Failed(link)
@@ -343,33 +386,11 @@ def _unify(s: Term, t: Term, trace: TraceFn | None, rescan: _Scan) -> UnifyOutco
             _instantiate(s, table, dom, memo) if x in s.vars else s,
             _instantiate(t, table, dom, memo) if x in t.vars else t,
         )
-        links.append(link)
+        links[x] = u
         if trace is not None:
             vars_before, vars_now = vars_now, _measure(s, t)
             trace(TraceStep(len(links), p, link, vars_before, vars_now))
-        conflict = rescan(s, t, p)
     return Unified(_resolved(links), len(links))
-
-
-def _scan_from_root(s: Term, t: Term, resolved: Position) -> _Conflict | None:
-    """The first conflict of the whole terms, wherever the last one was."""
-    return None if s == t else _descend(s, t)
-
-
-def _scan_right(s: Term, t: Term, resolved: Position) -> _Conflict | None:
-    """The first conflict strictly right of the one just resolved; none once
-    the scan climbs back to the root, without comparing the whole terms.
-
-    ``_next_position`` returns the root or a pair of subterms it has just
-    found different, so one resumption and one descent from that pair
-    suffice.
-    """
-    found = _next_position(s, t, resolved)
-    if found is None:
-        return None
-    p, sp, tp = found
-    q, sq, tq = _descend(sp, tp)
-    return p + q, sq, tq
 
 
 def classic_unify(s: Term, t: Term, trace: TraceFn | None = None) -> UnifyOutcome:
@@ -380,19 +401,86 @@ def classic_unify(s: Term, t: Term, trace: TraceFn | None = None) -> UnifyOutcom
     failures are sub_of_frst_diff's precondition violations (clash, occurs)
     turned into values.
     """
-    return _unify(s, t, trace, _scan_from_root)
+    return _unify(s, t, trace)
 
 
 def robinson_unify(s: Term, t: Term, trace: TraceFn | None = None) -> UnifyOutcome:
     """Unify by repeated link_of_frst_diff steps; failure causes propagate."""
-    return _unify(s, t, trace, _scan_from_root)
+    return _unify(s, t, trace)
 
 
 def robinson_unify_efficient(s: Term, t: Term, trace: TraceFn | None = None) -> UnifyOutcome:
-    """Like robinson_unify, but resumes the search for the next conflict
-    with ``next_position`` from the last resolved one, instead of walking
-    the whole instantiated terms again.  Same outcome and substitution."""
-    return _unify(s, t, trace, _scan_right)
+    """Like robinson_unify, but walks the pair once, left to right, under
+    the links made so far instead of instantiating the terms and scanning
+    them again.  Same conflicts, steps, causes, trace and substitution.
+
+    The first conflict is found and resolved as in ``robinson_unify``, so a
+    call that fails there, as most do, sets up nothing else.  The walk then
+    starts from the right siblings along its position, deepest first.  A
+    bound variable reads as its image, and a pair of applications already
+    expanded is skipped: it has been made equal, and stays so.
+    """
+    if s == t:
+        return Unified(_resolved({}), 0)
+    p, sp, tp = _descend(s, t)
+    link = _link(sp, tp, p)
+    if not isinstance(link, tuple):
+        return Failed(link)
+    bound = dict([link])
+    if trace is not None:
+        vars_now = _measure(s, t) - 1
+        trace(TraceStep(1, p, link, vars_now + 1, vars_now))
+    # A pending pair is held with the link chain of its parent and its
+    # index there, so a pair that needs no position builds no link.
+    todo: list[tuple[Term, Term, _Link, int]] = []
+    chain: _Link = None
+    for i in p:
+        xs, ys = s.args, t.args
+        for j in range(len(xs), i, -1):
+            todo.append((xs[j - 1], ys[j - 1], chain, j))
+        chain = (chain, i)
+        s, t = xs[i - 1], ys[i - 1]
+    bound_names = bound.keys()
+    # The application pairs expanded so far, by id, holding the nodes so
+    # that no id is reused while the walk runs.
+    seen: dict[tuple[int, int], tuple[App, App]] = {}
+    while todo:
+        s, t, chain, i = todo.pop()
+        while type(s) is Var and s.name in bound:
+            s = bound[s.name]
+        while type(t) is Var and t.name in bound:
+            t = bound[t.name]
+        if s is t:
+            continue
+        if type(s) is Var:
+            if type(t) is Var and s.name == t.name:
+                continue
+            x, u = s.name, t
+        elif type(t) is Var:
+            x, u = t.name, s
+        else:
+            if s.symbol != t.symbol:
+                return Failed(Clash(_position((chain, i)), s.symbol, t.symbol))
+            key = id(s), id(t)
+            if key in seen:
+                continue
+            xs, ys = s.args, t.args
+            if len(xs) != len(ys):
+                raise _ill_formed(s, t)
+            seen[key] = s, t
+            chain = (chain, i)
+            for j in range(len(xs), 0, -1):
+                todo.append((xs[j - 1], ys[j - 1], chain, j))
+            continue
+        names = u.vars
+        if x in names or not bound_names.isdisjoint(names) and _reaches(x, names, bound):
+            return Failed(OccursCheck(x, _image(u, bound), _position((chain, i))))
+        bound[x] = u
+        if trace is not None:
+            vars_now -= 1
+            step = (x, _image(u, bound))
+            trace(TraceStep(len(bound), _position((chain, i)), step, vars_now + 1, vars_now))
+    return Unified(_resolved(bound), len(bound))
 
 
 def unifiable(s: Term, t: Term) -> bool:

@@ -478,6 +478,38 @@ def _run_cli(*argv):
                           capture_output=True, text=True, timeout=60)
 
 
+# A balanced tree of 65,536 distinct variable leaves against one of constant
+# leaves, unified through ``main`` in a child process: the terms' text is
+# far past what one command-line argument may hold, so the child builds
+# them.  Instantiating the terms at every step takes minutes here.
+_WIDE_CLI = """
+import sys
+from mgu.cli import main
+
+def tree(leaves):
+    while len(leaves) > 1:
+        leaves = [f"f({leaves[i]},{leaves[i + 1]})" for i in range(0, len(leaves), 2)]
+    return leaves[0]
+
+n = 65_536
+s = tree([f"X{i}" for i in range(n)])
+t = tree(["b" if i % 3 else "a" for i in range(n)])
+sys.exit(main(["unify", s, t, "--algorithm", "efficient", "--sig", sys.argv[1]]))
+"""
+
+
+def test_unify_efficient_on_a_wide_pair(tmp_path):
+    sig = tmp_path / "wide.sig"
+    sig.write_text("f/2\na/0\nb/0\n")
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    proc = subprocess.run([sys.executable, "-c", _WIDE_CLI, str(sig)], env=env,
+                          capture_output=True, text=True, timeout=30)
+    bindings = sorted((f"X{i}", "b" if i % 3 else "a") for i in range(65_536))
+    expected = "{" + ", ".join(f"{x} -> {c}" for x, c in bindings) + "}\n"
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert proc.stdout == expected
+
+
 class TestDeepInput:
     """Input nested past what the recursive parser takes is an input error, not a crash."""
 

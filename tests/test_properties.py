@@ -26,6 +26,7 @@ from mgu.terms import (
 from mgu.unify import (
     Unified,
     classic_unify,
+    format_trace_step,
     is_mgu,
     is_unifier,
     robinson_unify,
@@ -496,3 +497,83 @@ def test_equation_sets_agree_with_robinson_fold(equations):
         assert out.mgu.is_idempotent()
         assert more_general(out.mgu, fold)
         assert more_general(fold, out.mgu)
+
+
+# Wide, flat, shared-chain and deep pairs for the efficient variant's walk
+# against the instantiating loop it replaces and against the oracle.  The
+# leaves mix variables (so that some repeat), constants and g(variable), and
+# one side is often an instance of the other, so that many pairs unify in
+# many steps and the others fail at varied depths, by clash or occurs check.
+_shape_leaves = st.sampled_from(
+    [Var(n) for n in VARS5] + [SIG3.app("a"), SIG3.app("b")] + [SIG3.app("g", Var(n)) for n in "XY"]
+)
+
+
+def _balanced(leaves):
+    while len(leaves) > 1:
+        leaves = [SIG3.app("f", *leaves[i:i + 2]) if i + 1 < len(leaves) else leaves[i]
+                  for i in range(0, len(leaves), 2)]
+    return leaves[0]
+
+
+def _f_list(items):
+    out = SIG3.app("a")
+    for item in reversed(items):
+        out = SIG3.app("f", item, out)
+    return out
+
+
+@st.composite
+def shaped_pairs(draw):
+    shape = draw(st.sampled_from(["wide", "flat", "shared", "deep"]))
+    if shape == "shared":
+        # Chains X_i = f(X_{i-1}, X_{i-1}) and Y_i likewise, then two drawn
+        # ends: exponential trees, linear DAGs.
+        n = draw(st.integers(1, 10))
+        xs = [Var(f"X{i}") for i in range(n + 1)]
+        ys = [Var(f"Y{i}") for i in range(n + 1)]
+        ends = st.sampled_from([xs[n], ys[n], xs[0], SIG3.app("a"), SIG3.app("g", ys[n])])
+        s = _f_list(xs[1:] + ys[1:] + [draw(ends)])
+        t = _f_list([SIG3.app("f", u, u) for u in xs[:-1] + ys[:-1]] + [draw(ends)])
+    elif shape == "deep":
+        n = draw(st.integers(1, 300))
+        s, t = draw(_shape_leaves), draw(_shape_leaves)
+        for _ in range(n):
+            s, t = SIG3.app("g", s), SIG3.app("g", t)
+        s = SIG3.app("f", s, draw(_shape_leaves))
+        t = SIG3.app("f", t, draw(_shape_leaves))
+    else:
+        n = draw(st.integers(1, 48))
+        leaves = draw(st.lists(_shape_leaves, min_size=n, max_size=n))
+        if draw(st.booleans()):
+            sigma = Subst(draw(st.dictionaries(st.sampled_from(VARS5), _images5, max_size=4)))
+            other = [sigma.apply(u) for u in leaves]
+        else:
+            other = draw(st.lists(_shape_leaves, min_size=n, max_size=n))
+        build = _balanced if shape == "wide" else (lambda items: App("k", items))
+        s, t = build(leaves), build(other)
+    return (s, t) if draw(st.booleans()) else (t, s)
+
+
+@settings(max_examples=200, deadline=None)
+@given(shaped_pairs())
+# Z occurs in g(X) only through X -> g(Y) and Y -> Z.
+@example((SIG3.app("h", Var("X"), Var("Y"), Var("Y")),
+          SIG3.app("h", SIG3.app("g", Var("Y")), Var("Z"), SIG3.app("g", Var("X")))))
+def test_efficient_walk_matches_robinson_and_the_oracle(pair):
+    s, t = pair
+    runs = []
+    for algorithm in (robinson_unify, robinson_unify_efficient):
+        steps = []
+        out = algorithm(s, t, trace=steps.append)
+        runs.append((repr(out), [format_trace_step(ts) for ts in steps], out, steps))
+    (ref_repr, ref_lines, ref, ref_steps), (got_repr, got_lines, got, got_steps) = runs
+    assert got_repr == ref_repr
+    assert got_lines == ref_lines
+    assert got_steps == ref_steps
+    assert got == ref
+    assert all(ts.vars_after == ts.vars_before - 1 for ts in got_steps)
+    oracle = solve_equations(EquationSet([(s, t)]))
+    assert isinstance(oracle, Unified) == isinstance(got, Unified)
+    if isinstance(got, Unified):
+        assert (oracle.mgu, oracle.steps) == (got.mgu, got.steps)

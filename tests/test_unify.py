@@ -283,6 +283,10 @@ def solve_pair(s, t):
     return solve_equations(EquationSet([(s, t)]))
 
 
+ALL_FOUR = (*ALGORITHMS, solve_pair)
+ALL_FOUR_IDS = ["classic", "robinson", "efficient", "mm"]
+
+
 class TestIllFormed:
     """One symbol at two arities is ill-formed in every algorithm, whichever side has more."""
 
@@ -302,16 +306,49 @@ class TestIllFormed:
         with pytest.raises(ValueError, match="terms are ill-formed: .* share a symbol but not an arity"):
             run(s, t)
 
+    @pytest.mark.parametrize("swap", [False, True], ids=["shorter-left", "shorter-right"])
+    @pytest.mark.parametrize("run", ALL_FOUR, ids=ALL_FOUR_IDS)
+    def test_arities_are_compared_before_the_arguments(self, run, swap):
+        """``f(c)`` against ``f(a,b)`` raises, although ``c`` and ``a`` clash."""
+        s, t = App("f", (c,)), f(a, b)
+        if swap:
+            s, t = t, s
+        with pytest.raises(ValueError, match="terms are ill-formed: .* share a symbol but not an arity"):
+            run(s, t)
+
+    @pytest.mark.parametrize("run", ALL_FOUR, ids=ALL_FOUR_IDS)
+    def test_ill_formed_pair_reached_under_a_binding(self, run):
+        """The pair ``h(a)``/``h(a,b)`` exists only once ``X -> h(a)`` is made."""
+        with pytest.raises(ValueError, match="terms are ill-formed"):
+            run(f(X, X), f(h(a), h(a, b)))
+
+
+class TestEfficientWalk:
+    """The efficient variant reads terms under its links instead of instantiating them."""
+
+    @pytest.mark.parametrize("algorithm", ALGORITHMS, ids=ALL_FOUR_IDS[:3])
+    def test_occurs_check_follows_the_links(self, algorithm):
+        """``Z`` against ``g(X)`` once ``X -> g(Y)`` and ``Y -> Z`` are made:
+        ``Z`` occurs only through the images."""
+        out = algorithm(h(X, Y, Y), h(g(Y), Z, g(X)))
+        assert out == Failed(OccursCheck("Z", g(g(Z)), (3,)))
+
+    def test_bound_variable_against_its_own_image(self):
+        """``X`` read through ``X -> g(Y)`` meets ``g(Y)``, the very node."""
+        steps = []
+        out = robinson_unify_efficient(f(X, f(X, Y)), f(g(Y), f(g(Y), a)), trace=steps.append)
+        assert (str(out.mgu), out.steps) == ("{X -> g(a), Y -> a}", 2)
+        assert [format_trace_step(ts) for ts in steps] == [
+            "step 1: pos=1 bind X -> g(Y) vars 2 -> 1",
+            "step 2: pos=2.2 bind Y -> a vars 1 -> 0",
+        ]
+
 
 def chain(n, leaf):
     """g^n(leaf)."""
     for _ in range(n):
         leaf = g(leaf)
     return leaf
-
-
-ALL_FOUR = (*ALGORITHMS, solve_pair)
-ALL_FOUR_IDS = ["classic", "robinson", "efficient", "mm"]
 
 
 class TestDeepChains:
@@ -403,6 +440,51 @@ def chain(leaf, n):
 s, t = chain(Var("X"), 64), chain(Var("Y"), 64)
 print(is_unifier(Subst({"X": Var("Y")}), s, t), is_unifier(Subst({"X": App("a")}), s, t))
 """
+
+
+# Sizes at which a step that instantiates the terms, or an ``App`` whose
+# construction is quadratic in its arity, runs for minutes; each case runs in
+# a subprocess, so that such code fails on the timeout instead of hanging
+# the suite.
+_SRC_ENV = {"PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+
+_SHARED_1024 = _SHARED_64.replace("n = 64", "n = 1024").split("outs = ")[0] + """
+out = robinson_unify_efficient(s, t)
+print(out.steps, len(out.mgu), is_unifier(out.mgu, s, t), out.mgu.is_idempotent())
+"""
+
+_FLAT_100000 = """
+from mgu.oracle import EquationSet, solve_equations
+from mgu.terms import App, Var
+from mgu.unify import robinson_unify_efficient
+
+n = 100_000
+s = App("f", [Var(f"X{i}") for i in range(n)])
+t = App("f", [App("b" if i % 3 else "a") for i in range(n)])
+fast, mm = robinson_unify_efficient(s, t), solve_equations(EquationSet([(s, t)]))
+print(fast.steps, mm.steps, fast.mgu == mm.mgu, str(fast.mgu.get("X99999")), len(s.vars))
+"""
+
+
+@pytest.mark.parametrize(
+    "code, expected",
+    [
+        (_SHARED_1024, "2049 2049 True True\n"),
+        (_FLAT_100000, "100000 100000 True a 100000\n"),
+        ("from mgu.terms import App, Var\n"
+         "print(len(App('f', [Var(f'X{i}') for i in range(100_000)]).vars))", "100000\n"),
+        ("from mgu.oracle import EquationSet, solve_equations\n"
+         "from mgu.terms import App, Var\n"
+         "print(solve_equations(EquationSet([(Var(f'X{i}'), App('a')) for i in range(20_000)])).steps)",
+         "20000\n"),
+    ],
+    ids=["efficient-shared-1024", "flat-100000-efficient-and-mm", "app-of-100000-variables",
+         "mm-20000-equations"],
+)
+def test_large_inputs_in_linear_time(code, expected):
+    proc = subprocess.run([sys.executable, "-c", code], env={**os.environ, **_SRC_ENV},
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, expected, "")
 
 
 def test_is_unifier_on_shared_chains_64():

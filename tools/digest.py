@@ -13,6 +13,12 @@ seeded random equation sets:
 - ``unify.<algorithm>``: classic, robinson and efficient on every ordered
   pair, run with a trace: the outcome's ``repr`` and every
   ``format_trace_step`` line;
+- ``unify.families``: the same three, traced, on seeded large pairs of four
+  shapes: wide (balanced trees of up to 1,024 leaves), flat (one symbol
+  over up to 256 arguments), shared (the chains ``X_i = f(X_{i-1},
+  X_{i-1})`` up to 12: their images print as trees of 2^n nodes) and deep
+  (``g`` chains up to 2,000); each line is prefixed with the algorithm's
+  name;
 - ``oracle.pairs``: ``solve_equations`` on every ordered pair;
 - ``oracle.sets``: ``solve_equations`` on 20,000 random sets of 1-6
   equations over 8 variables and ``f/2 g/1 h/3 a b``, from a fixed seed;
@@ -22,7 +28,7 @@ seeded random equation sets:
 - ``surgery``: ``subterm_at`` and ``replace_at`` at every position of every
   term, and at one invalid position per term with the error message.
 
-A run takes about 40 s on one core.
+A run takes about a minute on one core.
 """
 
 from __future__ import annotations
@@ -59,6 +65,69 @@ def random_term(rng: random.Random, app, variables, depth: int):
     return app(symbol, *(random_term(rng, app, variables, depth - 1) for _ in range(n)))
 
 
+def families(mgu, rng: random.Random):
+    """Seeded wide, flat, shared and deep pairs, each in both orientations.
+
+    Leaves mix a small pool of variables (so that some repeat), constants
+    and ``g`` of a variable, and one side is often an instance of the
+    other, so that pairs unify in many steps or fail at varied depths.
+    """
+    sig = mgu.Signature({"a": 0, "b": 0, "f": 2, "g": 1})
+    pool = [mgu.Var(x) for x in ("V", "W", "X", "Y", "Z")]
+
+    def leaf():
+        k = rng.randrange(8)
+        return pool[k] if k < 5 else sig.app("g", rng.choice(pool)) if k == 5 else sig.app("ab"[k - 6])
+
+    def leaves(n, fresh):
+        return [mgu.Var(f"X{i}") if fresh and rng.random() < 0.8 else leaf() for i in range(n)]
+
+    def against(items):
+        if rng.random() < 0.25:
+            return leaves(len(items), False)
+        names = sorted(set().union(*(u.vars for u in items)))
+        sigma = mgu.Subst({x: leaf() for x in names if rng.random() < 0.7})
+        odd = rng.choice((0, 0.002, 0.02))
+        return [leaf() if rng.random() < odd else sigma.apply(u) for u in items]
+
+    def tree(items):
+        while len(items) > 1:
+            items = [sig.app("f", *items[i:i + 2]) if i + 1 < len(items) else items[i]
+                     for i in range(0, len(items), 2)]
+        return items[0]
+
+    def f_list(items):
+        out = sig.app("a")
+        for item in reversed(items):
+            out = sig.app("f", item, out)
+        return out
+
+    cases = []
+    for n in (2, 16, 128, 1024):
+        for fresh in (True, False):
+            items = leaves(n, fresh)
+            cases.append((tree(items), tree(against(items))))
+    for n in (1, 8, 64, 256):
+        for fresh in (True, False):
+            items = leaves(n, fresh)
+            cases.append((mgu.App("k", items), mgu.App("k", against(items))))
+    for n in (1, 4, 8, 12):
+        for _ in range(2):
+            xs = [mgu.Var(f"X{i}") for i in range(n + 1)]
+            ys = [mgu.Var(f"Y{i}") for i in range(n + 1)]
+            ends = [xs[n], ys[n], xs[0], sig.app("a"), sig.app("g", ys[n])]
+            s = f_list(xs[1:] + ys[1:] + [rng.choice(ends)])
+            t = f_list([sig.app("f", u, u) for u in xs[:-1] + ys[:-1]] + [rng.choice(ends)])
+            cases.append((s, t))
+    for n in (10, 200, 2000):
+        for _ in range(2):
+            s, t = leaf(), leaf()
+            for _ in range(n):
+                s, t = sig.app("g", s), sig.app("g", t)
+            cases.append((sig.app("f", s, leaf()), sig.app("f", t, leaf())))
+    return cases + [(t, s) for s, t in cases]
+
+
 def main(argv: list[str] | None = None) -> int:
     here = Path(__file__).resolve().parent.parent
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
@@ -89,6 +158,20 @@ def main(argv: list[str] | None = None) -> int:
                     out.add(line)
                 out.add(repr(outcome))
         sections.append(out)
+
+    out = Section("unify.families")
+    for s, t in families(mgu, random.Random(1)):
+        for name, unify in (
+            ("classic", mgu.classic_unify),
+            ("robinson", mgu.robinson_unify),
+            ("efficient", mgu.robinson_unify_efficient),
+        ):
+            lines = []
+            outcome = unify(s, t, lambda ts: lines.append(mgu.format_trace_step(ts)))
+            for line in lines:
+                out.add(f"{name} {line}")
+            out.add(f"{name} {outcome!r}")
+    sections.append(out)
 
     out = Section("oracle.pairs")
     for s in universe:
