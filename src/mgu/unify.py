@@ -332,13 +332,6 @@ def next_position(s: Term, t: Term, p: Position) -> Position:
     """
     subterm_at(s, p)
     subterm_at(t, p)
-    found = _next_position(s, t, p)
-    return ROOT if found is None else found[0]
-
-
-def _next_position(s: Term, t: Term, p: Position) -> _Conflict | None:
-    """``next_position`` with the two subterms there, which the scan has
-    just found different; None for the root."""
     # The pairs of subterms at the proper prefixes of p, root first: one
     # walk down, then the climb pops them, and ``path`` with them: after
     # each pop, ``path`` is the position of the pair just popped.
@@ -353,14 +346,14 @@ def _next_position(s: Term, t: Term, p: Position) -> _Conflict | None:
         if not (isinstance(sp, App) and isinstance(tp, App)):
             raise RuntimeError(f"next_position: parent of {(*path, last)} is a leaf (internal bug)")
         if sp.symbol != tp.symbol:
-            return tuple(path), sp, tp
+            return tuple(path)
         if len(sp.args) != len(tp.args):
             raise _ill_formed(sp, tp)
         for i in range(last, len(sp.args)):
             if sp.args[i] != tp.args[i]:
                 path.append(i + 1)
-                return tuple(path), sp.args[i], tp.args[i]
-    return None
+                return tuple(path)
+    return ROOT
 
 
 def _unify(s: Term, t: Term, trace: TraceFn | None) -> UnifyOutcome:
@@ -372,7 +365,7 @@ def _unify(s: Term, t: Term, trace: TraceFn | None) -> UnifyOutcome:
     """
     links: dict[str, Term] = {}
     vars_now = _measure(s, t) if trace is not None else 0
-    while not s == t:
+    while not s == t:  # App defines no __ne__: ``!=`` would dispatch twice
         p, sp, tp = _descend(s, t)
         link = _link(sp, tp, p)
         if not isinstance(link, tuple):
