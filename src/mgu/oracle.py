@@ -4,14 +4,14 @@
 delete / decompose / orient / eliminate rules, a different algorithm family
 from difference resolving, so agreement between the two is real evidence.
 It eliminates ``X := u`` by instantiating, through the one-entry table
-``{X: u}`` and one memo, only the pending equations that hold ``X``, which
-an index from each variable to the pending equations holding it finds
-without visiting the others (the role of Martelli & Montanari's
-multiequation counters).  The eliminations are kept in order and resolved
-into the mgu once, back to front, as the paper algorithms' links are, so
-no solved binding is ever rewritten.  The pending equations are a list
-stack, each with the link chain (``mgu.terms``) of its position in the
-equation it came from.
+``{X: u}`` and one memo, only the pending equations that hold ``X``.
+While few are pending it scans them; when many are, an index from each
+variable to the pending equations holding it finds them without visiting
+the others (the role of Martelli & Montanari's multiequation counters).
+The eliminations are kept in order and resolved into the mgu once, back
+to front, as the paper algorithms' links are, so no solved binding is
+ever rewritten.  The pending equations are a list stack, each with the
+link chain (``mgu.terms``) of its position in the equation it came from.
 ``enum_terms`` and ``enum_substitutions`` enumerate every term and every
 substitution under a bound, and ``enumerated_unifiers`` filters the latter
 down to the actual unifiers of a pair; together they give finite, exact
@@ -43,6 +43,12 @@ from .unify import _resolved
 
 
 # The most pending equations an elimination scans without the index.
+# Scanning every pending equation makes a flat pair of n arguments take
+# n**2 steps.  Listing every one costs a step per variable it holds, so a
+# right-nested list of n variables, whose pending equations are few but
+# long, takes n**2 steps, and a call on the acceptance universe, where
+# fewer than 16 are ever pending, about a fifth more time.  Any limit
+# from 2 to 256 keeps both shapes linear, in about the same time.
 _UNLISTED = 16
 
 
@@ -84,23 +90,22 @@ def solve_equations(eqs: EquationSet) -> UnifyOutcome:
     Applications of one symbol with different argument counts are
     ill-formed: ValueError, as in ``first_diff``.
     """
-    # A stack: its last entry is the next equation processed.  ``holders``
-    # lists the entries of ``work[:listed]`` under each variable they hold;
-    # a listed entry is a list, rewritten in place by an elimination and
-    # emptied when popped.  An elimination scans the entries above
-    # ``work[:listed]`` itself while there are at most ``_UNLISTED`` of
-    # them, and lists them first otherwise, so that small systems pay for
-    # no index and many pending equations are not scanned at every step.
-    work: list = [(s, t, None) for s, t in reversed(eqs.equations)]
+    # A stack: its last entry is the next equation processed, a list
+    # [s, t, link], emptied when popped.  ``holders`` lists the entries of
+    # ``work[:listed]`` under each variable they hold, and each entry an
+    # elimination rewrites under the variables it gains.  An elimination
+    # scans the entries above ``work[:listed]`` itself while there are at
+    # most ``_UNLISTED`` of them, and lists them first otherwise.
+    work = [[s, t, None] for s, t in reversed(eqs.equations)]
     holders: defaultdict[str, list[list]] = defaultdict(list)
     listed = 0
     solved: dict[str, Term] = {}
     while work:
         entry = work.pop()
         s, t, link = entry
+        entry.clear()
         if len(work) < listed:
             listed = len(work)
-            entry.clear()
         if s == t:
             continue
         if isinstance(s, Var):
@@ -114,35 +119,25 @@ def solve_equations(eqs: EquationSet) -> UnifyOutcome:
             if len(xs) != len(ys):
                 raise _ill_formed(s, t)
             for i in range(len(xs), 0, -1):
-                work.append((xs[i - 1], ys[i - 1], (link, i)))
+                work.append([xs[i - 1], ys[i - 1], (link, i)])
             continue
         if x in u.vars:
             return Failed(OccursCheck(x, u, _position(link)))
         # Eliminate x := u from the pending equations that hold x, through
         # the one-entry table, with one memo for every term it rewrites;
-        # terms without x are kept as they are.  A rewritten listed entry
-        # now holds the variables of u.
+        # terms without x are kept as they are.
         if len(work) - listed > _UNLISTED:
-            for i in range(listed, len(work)):
-                work[i] = pending = list(work[i])
+            for pending in work[listed:]:
                 for y in itertools.chain(pending[0].vars, pending[1].vars):
                     holders[y].append(pending)
             listed = len(work)
         table = {x: u}
         dom, memo = table.keys(), {}
-        for i in range(listed, len(work)):
-            a, b, q = work[i]
-            if x in a.vars or x in b.vars:
-                work[i] = (
-                    _instantiate(a, table, dom, memo) if x in a.vars else a,
-                    _instantiate(b, table, dom, memo) if x in b.vars else b,
-                    q,
-                )
-        for pending in holders.pop(x, ()):
+        for pending in work[listed:] + holders.pop(x, []):
             if not pending:  # popped already
                 continue
             a, b, _ = pending
-            if x not in a.vars and x not in b.vars:  # listed twice, rewritten already
+            if x not in a.vars and x not in b.vars:  # without x, or rewritten already
                 continue
             if x in a.vars:
                 pending[0] = _instantiate(a, table, dom, memo)

@@ -282,6 +282,8 @@ def _resolve(images: dict[str, Term], names: Iterable[str], table: dict[str, Ter
     todo = list(names)
     while todo:
         x = todo.pop()
+        if x in table:  # resolved already, reached again
+            continue
         u = images[x]
         if not bound.isdisjoint(u.vars):
             held = bound & u.vars

@@ -1,5 +1,6 @@
 import pytest
 
+from mgu import oracle
 from mgu.oracle import (
     EnumBound,
     EquationSet,
@@ -64,6 +65,22 @@ class TestSolveEquations:
         assert isinstance(out, Unified)
         assert out.mgu.is_idempotent()
         assert is_unifier(out.mgu, f(X, Y), f(g(Z), g(X)))
+
+    @pytest.mark.parametrize("unlisted", [0, 10**9])
+    def test_index_and_scan_agree(self, monkeypatch, unlisted):
+        # With every pending equation listed at each elimination: X := Y
+        # lists f(Y, Z) = f(Z, b), which is popped before Y := Z; Y := Z
+        # rewrites g(Y) = g(a), which Z := b then finds only under the
+        # variable it gained, and g(Z) = g(Y), which it rewrites and lists
+        # under Z a second time, so Z := b passes by popped entries and by one
+        # rewritten already.  With none listed, every elimination scans.
+        monkeypatch.setattr(oracle, "_UNLISTED", unlisted)
+        eqs = EquationSet([(X, Y), (f(Y, Z), f(Z, b)), (g(Z), g(Y)), (g(Y), g(a))])
+        assert solve_equations(eqs) == Failed(Clash((1,), "b", "a"))
+        # X := a lists f(Y, g(Y)) = f(Z, g(b)); the arguments pushed when it
+        # is popped are not listed, and Y := Z must still rewrite g(Y) = g(b).
+        eqs = EquationSet([(X, a), (f(Y, g(Y)), f(Z, g(b)))])
+        assert solve_equations(eqs) == Unified(Subst({"X": a, "Y": b, "Z": b}), 3)
 
 
 class TestEnumTerms:

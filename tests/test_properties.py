@@ -2,6 +2,7 @@
 
 from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
+from mgu import oracle
 from mgu.oracle import (
     EnumBound,
     EquationSet,
@@ -499,6 +500,63 @@ def test_equation_sets_agree_with_robinson_fold(equations):
         assert more_general(fold, out.mgu)
 
 
+VARS12 = VARS8 + ("O", "P", "Q", "R")
+_terms12 = st.recursive(
+    st.sampled_from([Var(n) for n in VARS12] + [SIG3.app("a"), SIG3.app("b")]),
+    _compounds,
+    max_leaves=4,
+)
+
+
+@st.composite
+def long_equation_systems(draw):
+    """Seventeen to forty equations over twelve variables, or one flat pair
+    of as many arguments: each a term against an instance of it under one
+    shared substitution over six of them, whose images hold variables, or
+    an unrelated pair.  Images over the other six variables make the
+    substitution idempotent and the instances unify; images over all twelve
+    bring occurs checks, and the unrelated pairs clashes."""
+    domain = VARS12[:6]
+    leaves = VARS12 if draw(st.booleans()) else VARS12[6:]
+    images = st.recursive(
+        st.sampled_from([Var(n) for n in leaves] + [SIG3.app("a")]),
+        lambda c: st.builds(lambda u, v: SIG3.app("f", u, v), c, c),
+        max_leaves=3,
+    )
+    sigma = Subst(draw(st.dictionaries(st.sampled_from(domain), images, min_size=3, max_size=6)))
+    n = draw(st.integers(17, 40))
+    unrelated = draw(st.sets(st.integers(0, n - 1), max_size=2))
+    lefts, rights = [], []
+    for i in range(n):
+        u = draw(_terms12)
+        v = draw(_terms12) if i in unrelated else sigma.apply(u)
+        lefts.append(u if draw(st.booleans()) else v)
+        rights.append(v if lefts[-1] is u else u)
+    if draw(st.booleans()):
+        return [(App("k", lefts), App("k", rights))]
+    return list(zip(lefts, rights))
+
+
+def _solve_with_unlisted(equations, unlisted):
+    saved = oracle._UNLISTED
+    oracle._UNLISTED = unlisted
+    try:
+        return repr(solve_equations(EquationSet(equations)))
+    finally:
+        oracle._UNLISTED = saved
+
+
+@settings(max_examples=200, deadline=None)
+@given(long_equation_systems())
+def test_oracle_index_changes_nothing(equations):
+    """The same outcome, mgu and steps or cause and position, whether each
+    elimination scans the pending equations, lists them all in the index,
+    or does what the default does."""
+    default = repr(solve_equations(EquationSet(equations)))
+    assert _solve_with_unlisted(equations, 0) == default
+    assert _solve_with_unlisted(equations, 10**9) == default
+
+
 # Wide, flat, shared-chain and deep pairs for the efficient variant's walk
 # against the instantiating loop it replaces and against the oracle.  The
 # leaves mix variables (so that some repeat), constants and g(variable), and
@@ -573,7 +631,4 @@ def test_efficient_walk_matches_robinson_and_the_oracle(pair):
     assert got_steps == ref_steps
     assert got == ref
     assert all(ts.vars_after == ts.vars_before - 1 for ts in got_steps)
-    oracle = solve_equations(EquationSet([(s, t)]))
-    assert isinstance(oracle, Unified) == isinstance(got, Unified)
-    if isinstance(got, Unified):
-        assert (oracle.mgu, oracle.steps) == (got.mgu, got.steps)
+    assert solve_equations(EquationSet([(s, t)])) == got

@@ -22,6 +22,9 @@ seeded random equation sets:
 - ``oracle.pairs``: ``solve_equations`` on every ordered pair;
 - ``oracle.sets``: ``solve_equations`` on 20,000 random sets of 1-6
   equations over 8 variables and ``f/2 g/1 h/3 a b``, from a fixed seed;
+- ``oracle.long``: ``solve_equations`` on 2,000 seeded sets of 17-40
+  equations over 12 variables, more than it scans without its index, and
+  on the pairs of ``unify.families``;
 - ``match``: ``match_terms`` on every ordered pair;
 - ``positions``: ``positions_of`` on every term, ``occurrences`` on every
   ordered pair;
@@ -128,6 +131,30 @@ def families(mgu, rng: random.Random):
     return cases + [(t, s) for s, t in cases]
 
 
+def long_systems(mgu, rng: random.Random, count: int):
+    """Seeded sets of 17 to 40 equations over twelve variables, more than
+    ``solve_equations`` scans without its index.
+
+    Each equation is a term against its instance under one substitution
+    per set, whose images hold variables, or, now and then, an unrelated
+    pair.  Images over the six variables outside its domain make the
+    substitution idempotent and the instances unify; images over all
+    twelve bring occurs checks, and the unrelated pairs clashes.
+    """
+    sig = mgu.Signature({"a": 0, "b": 0, "f": 2, "g": 1, "h": 3})
+    variables = [mgu.Var(f"X{i}") for i in range(12)]
+    for _ in range(count):
+        pool = variables if rng.random() < 0.5 else variables[6:]
+        sigma = mgu.Subst({x.name: random_term(rng, sig.app, pool, 1)
+                           for x in variables[:6] if rng.random() < 0.7})
+        eqs = []
+        for _ in range(rng.randint(17, 40)):
+            u = random_term(rng, sig.app, variables, 2)
+            v = random_term(rng, sig.app, variables, 2) if rng.random() < 0.03 else sigma.apply(u)
+            eqs.append((u, v) if rng.random() < 0.5 else (v, u))
+        yield eqs
+
+
 def main(argv: list[str] | None = None) -> int:
     here = Path(__file__).resolve().parent.parent
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
@@ -189,6 +216,13 @@ def main(argv: list[str] | None = None) -> int:
             for _ in range(rng.randint(1, 6))
         ]
         out.add(repr(mgu.solve_equations(mgu.EquationSet(eqs))))
+    sections.append(out)
+
+    out = Section("oracle.long")
+    for eqs in long_systems(mgu, random.Random(2), 2_000):
+        out.add(repr(mgu.solve_equations(mgu.EquationSet(eqs))))
+    for s, t in families(mgu, random.Random(1)):
+        out.add(repr(mgu.solve_equations(mgu.EquationSet(((s, t),)))))
     sections.append(out)
 
     out = Section("match")
