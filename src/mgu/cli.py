@@ -2,9 +2,9 @@
 unification algorithm, and expose the term/substitution utilities.
 
 Exit codes: 0 for a successful result, 1 when the domain says no (not
-unifiable, invalid position, no match), 2 for any input error, input
-nested too deeply for the term parser included: it recurses once per
-level; every command behind it walks terms with loops.
+unifiable, invalid position, no match), 2 for any input error.  The term
+parser, like every command behind it, walks its input with a loop, so the
+CLI takes input as deep as the library does.
 
 ``main`` builds its argument parser once per process, on its first call,
 and shares it with every later call: parsing leaves the parser unchanged,
@@ -26,9 +26,11 @@ from .oracle import EquationSet, solve_equations
 from .substitution import Matched, Subst, compose, match_terms
 from .terms import (
     App,
+    ArityError,
     InvalidPositionError,
     Signature,
     Term,
+    UnknownSymbolError,
     Var,
     format_position,
     format_term,
@@ -124,9 +126,6 @@ class _Tokens:
     def peek(self) -> str:
         return self.items[self.index][0]
 
-    def offset(self) -> int:
-        return self.items[self.index][1]
-
     def take(self) -> tuple[str, int]:
         tok = self.items[self.index]
         if not tok[0]:
@@ -145,34 +144,44 @@ class _Tokens:
             raise ParseError(f"offset {off}: unexpected trailing input {tok!r}")
 
 
-def _parse_term(toks: _Tokens, sig: Signature) -> Term:
-    tok, off = toks.take()
-    if is_variable_name(tok):
-        if toks.peek() == "(":
-            raise ParseError(f"offset {toks.offset()}: variable {tok!r} takes no arguments")
-        return Var(tok)
-    if not is_symbol_name(tok):
-        raise ParseError(f"offset {off}: expected a term, got {tok!r}")
-    if tok not in sig:
-        raise ParseError(f"offset {off}: unknown symbol {tok!r}")
-    args: list[Term] = []
-    if toks.peek() == "(":
-        toks.take()
-        if toks.peek() == ")":
-            toks.take()
-        else:
-            args.append(_parse_term(toks, sig))
-            while toks.peek() == ",":
-                toks.take()
-                args.append(_parse_term(toks, sig))
-            toks.expect(")")
-    expected = sig.arity(tok)
+def _app(sig: Signature, symbol: str, off: int, args: list[Term]) -> Term:
+    expected = sig.arity(symbol)
     if len(args) != expected:
-        raise ParseError(
-            f"offset {off}: arity mismatch for {tok!r}: "
-            f"expected {expected} argument(s), found {len(args)}"
-        )
-    return App(tok, args)
+        raise ParseError(f"offset {off}: {ArityError(symbol, expected, len(args))}")
+    return App(symbol, args)
+
+
+def _parse_term(toks: _Tokens, sig: Signature) -> Term:
+    """One loop over a stack of open applications: symbol, offset, arguments."""
+    stack: list[tuple[str, int, list[Term]]] = []
+    while True:
+        tok, off = toks.take()
+        if is_variable_name(tok):
+            if toks.peek() == "(":
+                raise ParseError(f"offset {toks.take()[1]}: variable {tok!r} takes no arguments")
+            term = Var(tok)
+        elif not is_symbol_name(tok):
+            raise ParseError(f"offset {off}: expected a term, got {tok!r}")
+        elif tok not in sig:
+            raise ParseError(f"offset {off}: {UnknownSymbolError(tok)}")
+        else:
+            if toks.peek() == "(":
+                toks.take()
+                if toks.peek() != ")":
+                    stack.append((tok, off, []))
+                    continue
+                toks.take()
+            term = _app(sig, tok, off, [])
+        # The innermost open application takes the term; close those that end.
+        while stack:
+            stack[-1][2].append(term)
+            if toks.peek() == ",":
+                toks.take()
+                break
+            toks.expect(")")
+            term = _app(sig, *stack.pop())
+        else:
+            return term
 
 
 def parse_term(text: str, sig: Signature) -> Term:
@@ -390,12 +399,9 @@ def main(argv: list[str] | None = None) -> int:
         trace=getattr(ns, "trace", False),
         output=ns.output,
     )
-    try:
-        if ns.command == "unify":
-            return cmd_unify(config, ns.s, ns.t)
-        return cmd_utils(config, ns.command, [getattr(ns, a) for a in _UTILITIES[ns.command][0]])
-    except RecursionError:  # the term parser recurses once per level
-        return _input_error("input nested too deeply")
+    if ns.command == "unify":
+        return cmd_unify(config, ns.s, ns.t)
+    return cmd_utils(config, ns.command, [getattr(ns, a) for a in _UTILITIES[ns.command][0]])
 
 
 if __name__ == "__main__":

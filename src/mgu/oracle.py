@@ -267,11 +267,19 @@ def _faced_terms(s: Term, t: Term, faced: dict[str, list[Term]]) -> bool:
 
 def _image_may_equal(v: Term, t: Term, x: str, u: Term) -> bool:
     """Whether the fixed term ``v`` can equal ``t`` under ``x -> u``, other
-    variables open."""
-    if not t.vars:
-        return v == t
-    if isinstance(t, Var):
-        return t.name != x or v == u
-    if not isinstance(v, App) or v.symbol != t.symbol:
-        return False
-    return all(_image_may_equal(a, b, x, u) for a, b in zip(v.args, t.args))
+    variables open.  ``not ==`` skips the ``__ne__`` derived from ``__eq__``."""
+    pairs: list[tuple[Term, Term]] = []
+    while True:
+        if not t.vars:
+            if not v == t:
+                return False
+        elif type(t) is Var:
+            if t.name == x and not v == u:
+                return False
+        elif type(v) is not App or v.symbol != t.symbol:
+            return False
+        else:
+            pairs += zip(v.args, t.args)
+        if not pairs:
+            return True
+        v, t = pairs.pop()

@@ -1,3 +1,5 @@
+import itertools
+import json
 import os
 import subprocess
 import sys
@@ -24,6 +26,36 @@ X, Y = Var("X"), Var("Y")
 a = SIG.app("a")
 
 SIG_TEXT = "f/2\ng/1\na/0\nb/0\n"
+
+
+TERM_EDGES = [
+    ("f(X,", "offset 4: unexpected end of input"),
+    ("   ", "offset 3: unexpected end of input"),
+    ("g(\u00e9)", "offset 2: unexpected character '\u00e9'"),
+    ("-", "offset 0: unexpected character '-'"),
+    ("g(a)\u2003 a", "offset 6: unexpected trailing input 'a'"),
+    ("f(a b)", "offset 4: expected ')', got 'b'"),
+    ("f(,a)", "offset 2: expected a term, got ','"),
+    (")", "offset 0: expected a term, got ')'"),
+]
+
+SUBST_EDGES = [
+    ("{X -> a,}", "offset 8: expected a variable, got '}'"),
+    ("{X -> a,", "offset 8: unexpected end of input"),
+    ("{X a}", "offset 3: expected '->', got 'a'"),
+    ("X -> a", "offset 0: expected '{', got 'X'"),
+    ("{X -> a b}", "offset 8: expected '}', got 'b'"),
+]
+
+# 2,000 levels of f(a, ...), twice the depth the parser once took.  (Under
+# an open g( a ')' would close the application g() instead.)
+DEEP_OPEN, DEEP_CLOSE = "f(a," * 2000, ")" * 2000
+
+
+def _shifted(message, by):
+    """A parser message with its offset moved ``by`` characters on."""
+    offset, rest = message.removeprefix("offset ").split(": ", 1)
+    return f"offset {int(offset) + by}: {rest}"
 
 
 @pytest.fixture
@@ -96,23 +128,45 @@ class TestParseTerm:
         with pytest.raises(ParseError, match="trailing"):
             parse_term("a b", SIG)
 
-    @pytest.mark.parametrize(
-        "text, message",
-        [
-            ("f(X,", "offset 4: unexpected end of input"),
-            ("   ", "offset 3: unexpected end of input"),
-            ("g(\u00e9)", "offset 2: unexpected character '\u00e9'"),
-            ("-", "offset 0: unexpected character '-'"),
-            ("g(a)\u2003 a", "offset 6: unexpected trailing input 'a'"),
-            ("f(a b)", "offset 4: expected ')', got 'b'"),
-            ("f(,a)", "offset 2: expected a term, got ','"),
-            (")", "offset 0: expected a term, got ')'"),
-        ],
-    )
+    @pytest.mark.parametrize("text, message", TERM_EDGES)
     def test_edge_input_messages(self, text, message):
         with pytest.raises(ParseError) as err:
             parse_term(text, SIG)
         assert str(err.value) == message
+
+    @pytest.mark.parametrize("text, message", TERM_EDGES)
+    def test_edge_input_messages_at_depth(self, text, message):
+        """Inside 2,000 open applications each message holds, further on;
+        trailing input now stands where the innermost one wants its ')'."""
+        with pytest.raises(ParseError) as err:
+            parse_term(DEEP_OPEN + text, SIG)
+        expected = _shifted(message, len(DEEP_OPEN))
+        assert str(err.value) == expected.replace("unexpected trailing input", "expected ')', got")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("h(X)", "offset 0: unknown symbol 'h'"),
+            ("h(X", "offset 0: unknown symbol 'h'"),
+            ("f(X)", "offset 0: arity mismatch for 'f': expected 2 argument(s), found 1"),
+            ("g", "offset 0: arity mismatch for 'g': expected 1 argument(s), found 0"),
+            ("X(a)", "offset 1: variable 'X' takes no arguments"),
+        ],
+    )
+    def test_messages_of_the_innermost_term(self, text, message):
+        """Unknown symbols are reported at the symbol, arity at the symbol
+        once its ')' is read, at any depth."""
+        for prefix, suffix in (("", ""), (DEEP_OPEN, DEEP_CLOSE)):
+            with pytest.raises(ParseError) as err:
+                parse_term(prefix + text + suffix, SIG)
+            assert str(err.value) == _shifted(message, len(prefix))
+
+    def test_deep_terms_parse(self):
+        chain, text = X, "X"
+        for _ in range(20_000):
+            chain, text = SIG.app("g", chain), f"g({text})"
+        assert parse_term(text, SIG) == chain
+        assert parse_subst("{Y -> " + text + "}", SIG) == Subst({"Y": chain})
 
     def test_unicode_whitespace_around_a_term(self):
         assert parse_term("f(X, a)   ", SIG) == SIG.app("f", X, a)
@@ -144,20 +198,20 @@ class TestParseSubst:
         with pytest.raises(ParseError, match="expected a variable"):
             parse_subst("{a -> b}", SIG)
 
-    @pytest.mark.parametrize(
-        "text, message",
-        [
-            ("{X -> a,}", "offset 8: expected a variable, got '}'"),
-            ("{X -> a,", "offset 8: unexpected end of input"),
-            ("{X a}", "offset 3: expected '->', got 'a'"),
-            ("X -> a", "offset 0: expected '{', got 'X'"),
-            ("{X -> a b}", "offset 8: expected '}', got 'b'"),
-        ],
-    )
+    @pytest.mark.parametrize("text, message", SUBST_EDGES)
     def test_edge_input_messages(self, text, message):
         with pytest.raises(ParseError) as err:
             parse_subst(text, SIG)
         assert str(err.value) == message
+
+    @pytest.mark.parametrize("text, message", SUBST_EDGES)
+    def test_edge_input_messages_at_depth(self, text, message):
+        """After a first binding 2,000 levels deep, each message holds,
+        shifted by that binding's length (an input without '{' gets none)."""
+        nested = text.replace("{", "{Y -> " + DEEP_OPEN + "a" + DEEP_CLOSE + ", ", 1)
+        with pytest.raises(ParseError) as err:
+            parse_subst(nested, SIG)
+        assert str(err.value) == _shifted(message, len(nested) - len(text))
 
 
 class TestCmdUnify:
@@ -478,82 +532,137 @@ def _run_cli(*argv):
                           capture_output=True, text=True, timeout=60)
 
 
-# A balanced tree of 65,536 distinct variable leaves against one of constant
-# leaves, unified through ``main`` in a child process: the terms' text is
-# far past what one command-line argument may hold, so the child builds
-# them.  Instantiating the terms at every step takes minutes here.
-_WIDE_CLI = """
-import sys
+# Runs commands through ``main`` in one child process, under the
+# interpreter's default recursion limit, and returns (exit code, stdout,
+# stderr) for each.  The commands go through stdin: one command-line
+# argument may hold at most 128 KiB on Linux, and the terms here are far
+# larger.
+_MAIN_CHILD = """
+import contextlib, io, json, sys
 from mgu.cli import main
 
-def tree(leaves):
+results = []
+for argv in json.load(sys.stdin):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    results.append((code, out.getvalue(), err.getvalue()))
+json.dump(results, sys.stdout)
+"""
+
+
+def _run_main_in_child(commands, timeout):
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    proc = subprocess.run([sys.executable, "-c", _MAIN_CHILD], input=json.dumps(commands), env=env,
+                          capture_output=True, text=True, timeout=timeout)
+    assert (proc.returncode, proc.stderr) == (0, "")  # no traceback
+    return [tuple(result) for result in json.loads(proc.stdout)]
+
+
+def _tree(leaves):
     while len(leaves) > 1:
         leaves = [f"f({leaves[i]},{leaves[i + 1]})" for i in range(0, len(leaves), 2)]
     return leaves[0]
 
-n = 65_536
-s = tree([f"X{i}" for i in range(n)])
-t = tree(["b" if i % 3 else "a" for i in range(n)])
-sys.exit(main(["unify", s, t, "--algorithm", "efficient", "--sig", sys.argv[1]]))
-"""
-
 
 def test_unify_efficient_on_a_wide_pair(tmp_path):
+    """A balanced tree of 65,536 distinct variable leaves against one of
+    constant leaves, through unify (instantiating the terms at every step
+    would take minutes here), match, positions and apply."""
     sig = tmp_path / "wide.sig"
     sig.write_text("f/2\na/0\nb/0\n")
-    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
-    proc = subprocess.run([sys.executable, "-c", _WIDE_CLI, str(sig)], env=env,
-                          capture_output=True, text=True, timeout=30)
-    bindings = sorted((f"X{i}", "b" if i % 3 else "a") for i in range(65_536))
-    expected = "{" + ", ".join(f"{x} -> {c}" for x, c in bindings) + "}\n"
-    assert (proc.returncode, proc.stderr) == (0, "")
-    assert proc.stdout == expected
+    n = 65_536
+    xs = [f"X{i}" for i in range(n)]
+    cs = ["b" if i % 3 else "a" for i in range(n)]
+    s, t = _tree(xs), _tree(cs)
+    witness = "{" + ", ".join(f"{x} -> {c}" for x, c in sorted(zip(xs, cs))) + "}\n"
+    # Preorder is lexicographic order, and the tree is complete, 16 levels deep.
+    positions = sorted(p for k in range(17) for p in itertools.product((1, 2), repeat=k))
+    halved = "{" + ", ".join(f"{x} -> {c}" for x, c in sorted(zip(xs[::2], cs[::2]))) + "}"
+    commands = [
+        ["unify", s, t, "--algorithm", "efficient"],
+        ["match", s, t],
+        ["positions", t],
+        ["apply", halved, s],
+    ]
+    results = _run_main_in_child([[*argv, "--sig", str(sig)] for argv in commands], timeout=60)
+    assert results == [
+        (0, witness, ""),
+        (0, witness, ""),
+        (0, " ".join(".".join(map(str, p)) or "e" for p in positions) + "\n", ""),
+        (0, _tree([c if i % 2 == 0 else x for i, (x, c) in enumerate(zip(xs, cs))]) + "\n", ""),
+    ]
+
+
+def _g(depth, leaf):
+    return "g(" * depth + leaf + ")" * depth
+
+
+def _ones(depth):
+    return ".".join(["1"] * depth) or "e"
 
 
 class TestDeepInput:
-    """Input nested past what the recursive parser takes is an input error, not a crash."""
+    """Input of any depth goes through the CLI: the term parser and every
+    command behind it walk terms with loops."""
 
     @pytest.fixture
     def deep_sig(self, tmp_path):
         path = tmp_path / "deep.sig"
-        path.write_text("g/1\na/0\n")
+        path.write_text("g/1\na/0\nb/0\n")
         return str(path)
 
-    @staticmethod
-    def chain(depth, leaf):
-        return "g(" * depth + leaf + ")" * depth
-
-    def assert_too_deep(self, proc):
-        assert proc.returncode == 2
-        assert proc.stdout == ""
-        assert proc.stderr == "error: input nested too deeply\n"
-
     def test_unify_3000_deep(self, deep_sig):
-        self.assert_too_deep(_run_cli("unify", self.chain(3000, "X"), self.chain(3000, "a"), "--sig", deep_sig))
+        proc = _run_cli("unify", _g(3000, "X"), _g(3000, "a"), "--sig", deep_sig)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "{X -> a}\n", "")
 
-    def test_positions_3000_deep(self, deep_sig):
-        self.assert_too_deep(_run_cli("positions", self.chain(3000, "X"), "--sig", deep_sig))
+    def test_positions_1500_deep(self, deep_sig):
+        # The output is quadratic in the depth, so this stays at 1,500 levels.
+        proc = _run_cli("positions", _g(1500, "X"), "--sig", deep_sig)
+        assert (proc.returncode, proc.stderr) == (0, "")
+        assert proc.stdout == " ".join(_ones(k) for k in range(1501)) + "\n"
 
     def test_robinson_400_deep(self, deep_sig):
-        # 400 levels once crashed classic and robinson in ``==``; the term
-        # walks of every algorithm are iterative now, only the parser recurses.
+        # 400 levels once crashed classic and robinson in ``==``.
         for algorithm in ("classic", "robinson", "efficient", "mm"):
-            proc = _run_cli("unify", self.chain(400, "X"), self.chain(400, "a"), "--sig", deep_sig,
+            proc = _run_cli("unify", _g(400, "X"), _g(400, "a"), "--sig", deep_sig,
                             "--algorithm", algorithm)
             assert (algorithm, proc.returncode, proc.stdout, proc.stderr) == (algorithm, 0, "{X -> a}\n", "")
 
-    def test_efficient_400_deep_still_unifies(self, deep_sig):
-        proc = _run_cli("unify", self.chain(400, "X"), self.chain(400, "a"), "--sig", deep_sig,
-                        "--algorithm", "efficient")
-        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "{X -> a}\n", "")
-
     def test_900_deep_mgu_prints(self, deep_sig):
-        # The mgu is as deep as the input; printing it no longer recurses,
-        # so only the parser limits the depth.
-        deep = self.chain(900, "a")
+        # The mgu is as deep as the input, and printing it does not recurse.
+        deep = _g(900, "a")
         for args in ((), ("--trace",), ("--output", "structured")):
             proc = _run_cli("unify", "X", deep, "--sig", deep_sig, *args)
             assert (proc.returncode, proc.stderr) == (0, "")
             assert "{X -> " + deep + "}" in proc.stdout
         proc = _run_cli("unify", "X", deep, "--sig", deep_sig)
         assert proc.stdout == "{X -> " + deep + "}\n"
+
+    def test_every_subcommand_far_past_the_old_limit(self, deep_sig):
+        """unify with every algorithm at 100,000 levels; the other forms and
+        the utilities past 20,000.  ``positions`` prints output quadratic in
+        the depth, so it runs here on input that fails to parse at the
+        bottom (and at 1,500 levels above)."""
+        big, n = 100_000, 20_001
+        cases = [
+            *((["unify", _g(big, "X"), _g(big, "a"), "--algorithm", algorithm], (0, "{X -> a}\n", ""))
+              for algorithm in ("classic", "robinson", "efficient", "mm")),
+            (["unify", _g(n, "X"), _g(n, "a"), "--trace"],
+             (0, f"step 1: pos={_ones(n)} bind X -> a vars 1 -> 0\nresult: {{X -> a}}\n", "")),
+            (["unify", "X", _g(n, "X")], (1, f"fail: occurs X in {_g(n, 'X')} at e\n", "")),
+            (["unify", _g(n, "a"), _g(n, "b")], (1, f"fail: clash a vs b at {_ones(n)}\n", "")),
+            (["positions", _g(n, "h")], (2, "", f"error: offset {2 * n}: unknown symbol 'h'\n")),
+            (["subterm", _g(n, "a"), _ones(n // 2)], (0, _g(n - n // 2, "a") + "\n", "")),
+            (["subterm", _g(n, "a"), _ones(n + 2)],
+             (1, "", f"error: invalid position {_ones(n + 2)} in {_g(n, 'a')}: no subterm at {_ones(n + 1)}\n")),
+            (["replace", _g(n, "a"), _ones(n), "b"], (0, _g(n, "b") + "\n", "")),
+            (["apply", "{X -> " + _g(n, "a") + "}", _g(n, "X")], (0, _g(2 * n, "a") + "\n", "")),
+            (["compose", "{Y -> " + _g(n, "a") + "}", "{X -> " + _g(n, "Y") + "}"],
+             (0, f"{{X -> {_g(2 * n, 'a')}, Y -> {_g(n, 'a')}}}\n", "")),
+            (["match", _g(n, "X"), _g(2 * n, "a")], (0, f"{{X -> {_g(n, 'a')}}}\n", "")),
+            (["match", _g(n, "a"), _g(n, "b")], (1, f"no match: clash at {_ones(n)}\n", "")),
+        ]
+        results = _run_main_in_child([[*argv, "--sig", deep_sig] for argv, _ in cases], timeout=120)
+        for (argv, expected), result in zip(cases, results, strict=True):
+            assert (argv[0], result) == (argv[0], expected)

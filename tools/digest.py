@@ -29,7 +29,14 @@ seeded random equation sets:
 - ``positions``: ``positions_of`` on every term, ``occurrences`` on every
   ordered pair;
 - ``surgery``: ``subterm_at`` and ``replace_at`` at every position of every
-  term, and at one invalid position per term with the error message.
+  term, and at one invalid position per term with the error message;
+- ``parse``: ``mgu.cli.parse_term`` and ``parse_subst`` on 20,000 seeded
+  texts over ``f/2 g/1 h/3 a b``, valid and mutated, all under 900 levels
+  (see ``parse_inputs``): the input, then the result printed or the exact
+  ``ParseError`` message.  ``parse_lines`` with other seeds and counts
+  gives a larger comparison;
+- ``enumerated``: ``enumerated_unifiers`` at height 1 on 20,000 seeded
+  ordered pairs of the universe.
 
 A run takes about a minute on one core.
 """
@@ -155,6 +162,77 @@ def long_systems(mgu, rng: random.Random, count: int):
         yield eqs
 
 
+# Tokens that mutations insert: the grammar's own, names declared or not,
+# whitespace and characters no token takes.
+_NOISE = ("(", ")", ",", "{", "}", "->", "-", " ", "\u2003", "f", "g", "h", "a", "k", "X",
+          "?v", "_", "\u00e9", "+")
+
+
+def parse_inputs(rng: random.Random, count: int):
+    """Seeded ``("term", text)`` and ``("subst", text)`` inputs for the CLI's
+    parsers over ``f/2 g/1 h/3 a b``.
+
+    Each is a valid text, spaced at random and spelling constants ``a`` or
+    ``a()``, half of them then mutated: tokens deleted, inserted, replaced
+    or repeated, or the text cut short.  A tenth sit under a chain of up
+    to 850 ``g``-levels, so every input stays under 900 levels.
+    """
+
+    def term(depth: int) -> list[str]:
+        if depth == 0 or rng.random() < 0.3:
+            k = rng.random()
+            if k < 0.6:
+                return [rng.choice(("X", "Y", "Z", "?v"))]
+            return [rng.choice("ab")] + (["(", ")"] if k > 0.9 else [])
+        symbol = rng.choice("fgh")
+        out = [symbol, "("]
+        for i in range({"f": 2, "g": 1, "h": 3}[symbol]):
+            out += [","] * (i > 0) + term(depth - 1)
+        return out + [")"]
+
+    def deep(tokens: list[str]) -> list[str]:
+        n = rng.randrange(1, 851) if rng.random() < 0.1 else 0
+        return ["g", "("] * n + tokens + [")"] * n
+
+    for _ in range(count):
+        if rng.random() < 0.6:
+            kind, tokens = "term", deep(term(3))
+        else:
+            kind, tokens = "subst", ["{"]
+            for i in range(rng.randrange(4)):
+                tokens += [","] * (i > 0) + [rng.choice(("X", "Y", "Z", "?v")), "->"] + deep(term(2))
+            tokens.append("}")
+        if rng.random() < 0.5:
+            for _ in range(rng.randint(1, 3)):
+                i = rng.randrange(len(tokens) + 1)
+                edit = rng.randrange(5)
+                if edit == 0:
+                    del tokens[i:i + 1]
+                elif edit == 1:
+                    tokens.insert(i, rng.choice(_NOISE))
+                elif edit == 2:
+                    tokens[i:i + 1] = [rng.choice(_NOISE)]
+                elif edit == 3:
+                    tokens[i:i] = tokens[i:i + rng.randint(1, 4)]
+                else:
+                    del tokens[i:]
+        text = "".join(tok + rng.choice(("", "", "", " ", "\t", "\u2003")) for tok in tokens)
+        yield kind, text
+
+
+def parse_lines(mgu, rng: random.Random, count: int):
+    """One line per input of ``parse_inputs``: the input, then the parsed
+    term or substitution, printed, or the exact ``ParseError`` message."""
+    cli = importlib.import_module("mgu.cli")
+    sig = mgu.Signature({"a": 0, "b": 0, "f": 2, "g": 1, "h": 3})
+    for kind, text in parse_inputs(rng, count):
+        try:
+            result = str(cli.parse_term(text, sig) if kind == "term" else cli.parse_subst(text, sig))
+        except cli.ParseError as err:
+            result = f"error: {err}"
+        yield f"{kind} {text!r} {result}"
+
+
 def main(argv: list[str] | None = None) -> int:
     here = Path(__file__).resolve().parent.parent
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
@@ -248,6 +326,19 @@ def main(argv: list[str] | None = None) -> int:
                     out.add(repr(op(t, p, *rest)))
                 except mgu.InvalidPositionError as err:
                     out.add(f"{err} {err.prefix}")
+    sections.append(out)
+
+    out = Section("parse")
+    for line in parse_lines(mgu, random.Random(3), 20_000):
+        out.add(line)
+    sections.append(out)
+
+    out = Section("enumerated")
+    rng = random.Random(4)
+    height_1 = mgu.EnumBound(1, ("X", "Y"), sig)
+    for _ in range(20_000):
+        s, t = rng.choice(universe), rng.choice(universe)
+        out.add(" ".join(map(str, mgu.enumerated_unifiers(s, t, height_1))))
     sections.append(out)
 
     for out in sections:
