@@ -3,8 +3,9 @@ unification algorithm, and expose the term/substitution utilities.
 
 Exit codes: 0 for a successful result, 1 when the domain says no (not
 unifiable, invalid position, no match), 2 for any input error.  The term
-parser, like every command behind it, walks its input with a loop, so the
-CLI takes input as deep as the library does.
+parser takes its tokens with one regular expression and, like every command
+behind it, walks them with a loop, so the CLI takes input as deep as the
+library does.
 
 ``main`` builds its argument parser once per process, on its first call,
 and shares it with every later call: parsing leaves the parser unchanged,
@@ -35,7 +36,6 @@ from .terms import (
     format_position,
     format_term,
     is_symbol_name,
-    is_variable_name,
     parse_position,
     positions_of,
     replace_at,
@@ -87,7 +87,7 @@ def parse_signature(text: str) -> Signature:
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
-        m = re.fullmatch(r"([A-Za-z_?][A-Za-z0-9_]*)\s*/\s*(\d+)", line)
+        m = _DECLARATION_RE.fullmatch(line)
         if m is None:
             raise ParseError(f"line {lineno}: expected 'name/arity', got {line!r}")
         name, arity = m.group(1), int(m.group(2))
@@ -102,86 +102,80 @@ def parse_signature(text: str) -> Signature:
     return Signature(pairs)
 
 
-# Skips whitespace, then takes a token or, as an error, any other character.
-_TOKEN_RE = re.compile(r"\s*(?:(->|[(),{}]|[A-Za-z?_][A-Za-z0-9_]*)|(\S))")
+_DECLARATION_RE = re.compile(r"([A-Za-z_?][A-Za-z0-9_]*)\s*/\s*(\d+)")
+
+# One token, after any whitespace, in group 1; any other character is an
+# error, for which ``findall`` gives "", as it does for the sentinel that ends
+# a token list.  Tokens are ASCII: "?" <= tok < "[" holds exactly for the
+# variables, the names that start with '?' or an uppercase letter.
+_TOKEN_RE = re.compile(r"\s*(?:(->|[(),{}]|[A-Za-z?_][A-Za-z0-9_]*)|\S)")
 
 
-class _Tokens:
-    """Token stream over a single input string, tracking offsets for errors.
-
-    The stream ends with the sentinel ``("", len(text))``, which no token
-    equals.
-    """
-
-    def __init__(self, text: str):
-        self.items: list[tuple[str, int]] = []
-        for m in _TOKEN_RE.finditer(text):
-            tok, bad = m.groups()
-            if bad is not None:
-                raise ParseError(f"offset {m.start(2)}: unexpected character {bad!r}")
-            self.items.append((tok, m.start(1)))
-        self.items.append(("", len(text)))
-        self.index = 0
-
-    def peek(self) -> str:
-        return self.items[self.index][0]
-
-    def take(self) -> tuple[str, int]:
-        tok = self.items[self.index]
-        if not tok[0]:
-            raise ParseError(f"offset {tok[1]}: unexpected end of input")
-        self.index += 1
-        return tok
-
-    def expect(self, want: str) -> None:
-        tok, off = self.take()
-        if tok != want:
-            raise ParseError(f"offset {off}: expected {want!r}, got {tok!r}")
-
-    def done(self) -> None:
-        tok, off = self.items[self.index]
-        if tok:
-            raise ParseError(f"offset {off}: unexpected trailing input {tok!r}")
+def _error(text: str, i: int, message: str) -> ParseError:
+    """``message`` at the offset of token ``i``, or the end of input at the
+    sentinel; but a character that no token takes, anywhere in the text, is
+    the error reported.  Offsets are worked out here, for errors alone."""
+    at, found = len(text), "unexpected end of input"
+    for k, m in enumerate(_TOKEN_RE.finditer(text)):
+        if m.lastindex is None:
+            at = m.end() - 1
+            return ParseError(f"offset {at}: unexpected character {text[at]!r}")
+        if k == i:
+            at, found = m.start(1), message
+    return ParseError(f"offset {at}: {found}")
 
 
-def _app(sig: Signature, symbol: str, off: int, args: list[Term]) -> Term:
-    expected = sig.arity(symbol)
-    if len(args) != expected:
-        raise ParseError(f"offset {off}: {ArityError(symbol, expected, len(args))}")
-    return App(symbol, args)
-
-
-def _parse_term(toks: _Tokens, sig: Signature) -> Term:
-    """One loop over a stack of open applications: symbol, offset, arguments."""
+def _term(
+    text: str, toks: list[str], i: int, arities: dict[str, int], leaves: dict[str, Term]
+) -> tuple[Term, int]:
+    """The term at token ``i`` and the index after it: one loop over a stack of
+    open applications, each its symbol, its token's index and its arguments so
+    far.  ``leaves`` holds the one term built per variable or constant name."""
     stack: list[tuple[str, int, list[Term]]] = []
     while True:
-        tok, off = toks.take()
-        if is_variable_name(tok):
-            if toks.peek() == "(":
-                raise ParseError(f"offset {toks.take()[1]}: variable {tok!r} takes no arguments")
-            term = Var(tok)
-        elif not is_symbol_name(tok):
-            raise ParseError(f"offset {off}: expected a term, got {tok!r}")
-        elif tok not in sig:
-            raise ParseError(f"offset {off}: {UnknownSymbolError(tok)}")
-        else:
-            if toks.peek() == "(":
-                toks.take()
-                if toks.peek() != ")":
-                    stack.append((tok, off, []))
-                    continue
-                toks.take()
-            term = _app(sig, tok, off, [])
+        tok = toks[i]
+        i += 1
+        term = leaves.get(tok)
+        if term is None or toks[i] == "(":
+            if "?" <= tok < "[":
+                if toks[i] == "(":
+                    raise _error(text, i, f"variable {tok!r} takes no arguments")
+                term = leaves[tok] = Var(tok)
+            elif tok not in arities:
+                if "a" <= tok < "{":
+                    raise _error(text, i - 1, str(UnknownSymbolError(tok)))
+                raise _error(text, i - 1, f"expected a term, got {tok!r}")
+            elif toks[i] != "(" or toks[i + 1] == ")":
+                if arities[tok]:
+                    raise _error(text, i - 1, str(ArityError(tok, arities[tok], 0)))
+                if toks[i] == "(":
+                    i += 2
+                if term is None:
+                    term = leaves[tok] = App(tok)
+            else:
+                stack.append((tok, i - 1, []))
+                i += 1
+                continue
         # The innermost open application takes the term; close those that end.
         while stack:
             stack[-1][2].append(term)
-            if toks.peek() == ",":
-                toks.take()
+            tok = toks[i]
+            i += 1
+            if tok == ",":
                 break
-            toks.expect(")")
-            term = _app(sig, *stack.pop())
+            if tok != ")":
+                raise _error(text, i - 1, f"expected ')', got {tok!r}")
+            symbol, at, args = stack.pop()
+            if len(args) != arities[symbol]:
+                raise _error(text, at, str(ArityError(symbol, arities[symbol], len(args))))
+            term = App(symbol, args)
         else:
-            return term
+            return term, i
+
+
+def _end(text: str, toks: list[str], i: int) -> None:
+    if i != len(toks) - 1:
+        raise _error(text, i, f"unexpected trailing input {toks[i]!r}")
 
 
 def parse_term(text: str, sig: Signature) -> Term:
@@ -190,31 +184,36 @@ def parse_term(text: str, sig: Signature) -> Term:
     Variables start with an uppercase letter or '?', symbols must be
     declared in the signature, and 0-ary symbols parse as ``a`` or ``a()``.
     """
-    toks = _Tokens(text)
-    term = _parse_term(toks, sig)
-    toks.done()
+    toks = _TOKEN_RE.findall(text) + [""]
+    term, i = _term(text, toks, 0, sig.entries, {})
+    _end(text, toks, i)
     return term
 
 
 def parse_subst(text: str, sig: Signature) -> Subst:
     """Substitution literal: ``{}`` or ``{X -> t, Y -> s}``."""
-    toks = _Tokens(text)
-    toks.expect("{")
+    toks = _TOKEN_RE.findall(text) + [""]
+    if toks[0] != "{":
+        raise _error(text, 0, f"expected '{{', got {toks[0]!r}")
+    arities, leaves = sig.entries, {}
     bindings: dict[str, Term] = {}
-    if toks.peek() != "}":
+    i = 1
+    if toks[i] != "}":
         while True:
-            tok, off = toks.take()
-            if not is_variable_name(tok):
-                raise ParseError(f"offset {off}: expected a variable, got {tok!r}")
+            tok = toks[i]
+            if not "?" <= tok < "[":
+                raise _error(text, i, f"expected a variable, got {tok!r}")
             if tok in bindings:
-                raise ParseError(f"offset {off}: variable {tok!r} bound twice")
-            toks.expect("->")
-            bindings[tok] = _parse_term(toks, sig)
-            if toks.peek() != ",":
+                raise _error(text, i, f"variable {tok!r} bound twice")
+            if toks[i + 1] != "->":
+                raise _error(text, i + 1, f"expected '->', got {toks[i + 1]!r}")
+            bindings[tok], i = _term(text, toks, i + 2, arities, leaves)
+            if toks[i] != ",":
                 break
-            toks.take()
-    toks.expect("}")
-    toks.done()
+            i += 1
+    if toks[i] != "}":
+        raise _error(text, i, f"expected '}}', got {toks[i]!r}")
+    _end(text, toks, i + 1)
     return Subst(bindings)
 
 

@@ -1,12 +1,14 @@
 import itertools
 import json
 import os
+import random
 import subprocess
 import sys
 import threading
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from mgu.cli import (
     ParseError,
@@ -19,7 +21,7 @@ from mgu.cli import (
     parse_term,
 )
 from mgu.substitution import Subst
-from mgu.terms import Signature, Var, format_term
+from mgu.terms import Signature, Term, Var, format_term
 
 SIG = Signature({"a": 0, "b": 0, "f": 2, "g": 1})
 X, Y = Var("X"), Var("Y")
@@ -212,6 +214,79 @@ class TestParseSubst:
         with pytest.raises(ParseError) as err:
             parse_subst(nested, SIG)
         assert str(err.value) == _shifted(message, len(nested) - len(text))
+
+
+# Generated input for the parsers, over a signature with a ternary symbol.
+WIDE_SIG = Signature({"a": 0, "b": 0, "f": 2, "g": 1, "h": 3})
+_LEAVES = [Var("X"), Var("Y"), Var("?v"), WIDE_SIG.app("a"), WIDE_SIG.app("b")]
+_SPACES = ("", "", " ", "\t", "\n", "\u2003")
+# The grammar's tokens, names declared or not, names that are neither
+# variables nor symbols, whitespace and characters no token takes.
+_PIECES = ("(", ")", ",", "{", "}", "->", "-", ">", " ", "\u2003", "f", "g", "h", "a", "a1", "k",
+           "X", "?", "?v", "_", "_x", "1", "\u00e9", "@", "+")
+_rngs = st.integers(0, 2**32).map(random.Random)
+
+
+def _extend(children):
+    return st.one_of(
+        st.builds(lambda u: WIDE_SIG.app("g", u), children),
+        st.builds(lambda u, v: WIDE_SIG.app("f", u, v), children, children),
+        st.builds(lambda u, v, w: WIDE_SIG.app("h", u, v, w), children, children, children),
+    )
+
+
+@st.composite
+def _wide_terms(draw):
+    """A tree of 1,001 to 2,000 leaves, joined level by level by ``f`` and
+    ``h`` (and ``g`` over a lone leftover)."""
+    rng = draw(_rngs)
+    level = [rng.choice(_LEAVES) for _ in range(draw(st.integers(1001, 2000)))]
+    while len(level) > 1:
+        joined, i = [], 0
+        while i < len(level):
+            k = min(rng.choice((2, 3)), len(level) - i)
+            joined.append(WIDE_SIG.app({1: "g", 2: "f", 3: "h"}[k], *level[i:i + k]))
+            i += k
+        level = joined
+    return level[0]
+
+
+_terms = st.one_of(st.recursive(st.sampled_from(_LEAVES), _extend, max_leaves=40), _wide_terms())
+
+
+def _spelt(term, rng):
+    """``term`` as text: tokens spaced at random, constants spelt ``a`` or ``a()``."""
+    if isinstance(term, Var):
+        tokens = [term.name]
+    elif not term.args:
+        tokens = [term.symbol] + ["(", ")"] * (rng.random() < 0.5)
+    else:
+        tokens = [term.symbol, "("]
+        for k, arg in enumerate(term.args):
+            tokens += [","] * (k > 0) + [_spelt(arg, rng)]
+        tokens.append(")")
+    return "".join(rng.choice(_SPACES) + tok for tok in tokens) + rng.choice(_SPACES)
+
+
+class TestParserRobustness:
+    @settings(max_examples=60, deadline=None)
+    @given(_terms, _rngs)
+    def test_round_trip(self, term, rng):
+        assert parse_term(format_term(term), WIDE_SIG) == term
+        assert parse_term(_spelt(term, rng), WIDE_SIG) == term
+        subst = Subst({"X": term, "Y": WIDE_SIG.app("g", term)})
+        assert parse_subst(str(subst), WIDE_SIG) == subst
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.one_of(st.lists(st.sampled_from(_PIECES), max_size=40).map("".join), st.text(max_size=40)))
+    def test_any_text_parses_or_raises_parse_error(self, text):
+        """Never ``IndexError`` or another exception: the parsers index a
+        token list, and every path that reads its end must stop there."""
+        for parse, kind in ((parse_term, Term), (parse_subst, Subst)):
+            try:
+                assert isinstance(parse(text, WIDE_SIG), kind)
+            except ParseError:
+                pass
 
 
 class TestCmdUnify:

@@ -163,9 +163,10 @@ def long_systems(mgu, rng: random.Random, count: int):
 
 
 # Tokens that mutations insert: the grammar's own, names declared or not,
-# whitespace and characters no token takes.
-_NOISE = ("(", ")", ",", "{", "}", "->", "-", " ", "\u2003", "f", "g", "h", "a", "k", "X",
-          "?v", "_", "\u00e9", "+")
+# names that are neither variables nor symbols, whitespace and characters
+# no token takes (a digit, a lone '>').
+_NOISE = ("(", ")", ",", "{", "}", "->", "-", ">", " ", "\u2003", "f", "g", "h", "a", "a1", "k",
+          "X", "?v", "?", "_", "_x", "1", "\u00e9", "+")
 
 
 def parse_inputs(rng: random.Random, count: int):
