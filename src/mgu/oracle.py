@@ -3,8 +3,8 @@
 ``solve_equations`` unifies by transforming a set of equations with the
 delete / decompose / orient / eliminate rules, a different algorithm family
 from difference resolving, so agreement between the two is real evidence.
-It eliminates ``X := u`` by instantiating, through the one-entry table
-``{X: u}`` and one memo, only the pending equations that hold ``X``.
+It eliminates ``X := u`` by instantiating, with one memo and the one-binding
+walk of the literal algorithms, only the pending equations that hold ``X``.
 While few are pending it scans them; when many are, an index from each
 variable to the pending equations holding it finds them without visiting
 the others (the role of Martelli & Montanari's multiequation counters).
@@ -36,7 +36,7 @@ from collections.abc import Iterable
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .substitution import Subst, _instantiate
+from .substitution import Subst, _bind
 from .terms import App, Signature, Term, Var, _ill_formed, _position
 from .unify import Clash, Failed, OccursCheck, Unified, UnifyOutcome, is_unifier
 from .unify import _resolved
@@ -123,26 +123,21 @@ def solve_equations(eqs: EquationSet) -> UnifyOutcome:
             continue
         if x in u.vars:
             return Failed(OccursCheck(x, u, _position(link)))
-        # Eliminate x := u from the pending equations that hold x, through
-        # the one-entry table, with one memo for every term it rewrites;
-        # terms without x are kept as they are.
+        # Eliminate x := u from the pending equations that hold x, with one
+        # memo for every term ``_bind`` rewrites; the others are kept.
         if len(work) - listed > _UNLISTED:
             for pending in work[listed:]:
                 for y in itertools.chain(pending[0].vars, pending[1].vars):
                     holders[y].append(pending)
             listed = len(work)
-        table = {x: u}
-        dom, memo = table.keys(), {}
+        memo: dict = {}
         for pending in work[listed:] + holders.pop(x, []):
             if not pending:  # popped already
                 continue
             a, b, _ = pending
             if x not in a.vars and x not in b.vars:  # without x, or rewritten already
                 continue
-            if x in a.vars:
-                pending[0] = _instantiate(a, table, dom, memo)
-            if x in b.vars:
-                pending[1] = _instantiate(b, table, dom, memo)
+            pending[0], pending[1] = _bind(a, x, u, memo), _bind(b, x, u, memo)
             for y in u.vars:
                 holders[y].append(pending)
         solved[x] = u
@@ -185,7 +180,7 @@ def _images(name: str, bound: EnumBound) -> tuple[Term, ...]:
     """One domain variable's choices: itself (left unbound) first, then every
     enumerated term other than itself."""
     me = Var(name)
-    return (me,) + tuple(t for t in _enum_terms(bound) if t != me)
+    return (me,) + tuple(t for t in _enum_terms(bound) if not t == me)
 
 
 @lru_cache(maxsize=None)

@@ -123,11 +123,11 @@ class Subst:
                     u, v, done = table.get(v.name, v), u, True
             if done:
                 if type(v) is Var:
-                    if u != table.get(v.name, v):
+                    if not u == table.get(v.name, v):
                         return False
                     continue
                 if v.vars.isdisjoint(dom):
-                    if u != v:
+                    if not u == v:
                         return False
                     continue
                 if type(u) is not App:
@@ -182,6 +182,39 @@ def _instantiate(
                 args.append(a)
             elif type(a) is Var:
                 args.append(table[a.name])
+            elif id(a) in memo:
+                args.append(memo[id(a)][1])
+            else:
+                frames.append((node, rest, args))
+                node, rest, args = a, iter(a.args), []
+                break
+        else:
+            out = App(node.symbol, args)
+            memo[id(node)] = node, out
+            if not frames:
+                return out
+            node, rest, args = frames.pop()
+            args.append(out)
+
+
+def _bind(t: Term, x: str, u: Term, memo: dict[int, tuple[App, App]]) -> Term:
+    """``_instantiate`` with the one-entry table ``{x: u}``, frames, memo and
+    sharing alike, testing ``x in a.vars``; ``t`` itself if it lacks ``x``."""
+    if x not in t.vars:
+        return t
+    if type(t) is Var:
+        return u
+    hit = memo.get(id(t))
+    if hit is not None:
+        return hit[1]
+    frames: list[tuple[App, Iterator[Term], list[Term]]] = []
+    node, rest, args = t, iter(t.args), []
+    while True:
+        for a in rest:
+            if x not in a.vars:
+                args.append(a)
+            elif type(a) is Var:
+                args.append(u)
             elif id(a) in memo:
                 args.append(memo[id(a)][1])
             else:
@@ -259,7 +292,7 @@ def _match_into(pattern: Term, target: Term, env: dict[str, Term]) -> NoMatch | 
     while todo:
         pattern, target, link = todo.pop()
         if isinstance(pattern, Var):
-            if env.setdefault(pattern.name, target) != target:
+            if not env.setdefault(pattern.name, target) == target:
                 return NoMatch("inconsistent-binding", _position(link))
         elif not isinstance(target, App) or target.symbol != pattern.symbol:
             return NoMatch("clash", _position(link))

@@ -214,7 +214,7 @@ def _equal_args(s: App, t: App) -> bool:
             if kind is not type(y) or x._hash != y._hash:
                 return False
             if kind is not App:
-                if x != y:
+                if x.name != y.name:
                     return False
             elif x.symbol != y.symbol:
                 return False

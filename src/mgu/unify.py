@@ -9,7 +9,11 @@ equation-set oracle shares.
 - ``classic_unify`` and ``robinson_unify``, the literal reference,
   instantiate both terms with each link and rescan from the root.  Their
   steps are ``sub_of_frst_diff`` and ``link_of_frst_diff``, whose causes
-  are the same, so one loop serves both;
+  are the same, so one loop serves both.  A step costs one descent from
+  the root, testing each argument pair for identity and cached hash before
+  ``==`` (which ends at once on pairs an earlier step found equal, see
+  ``mgu.terms``), and one ``_bind`` per side holding the variable, which
+  rebuilds each node above an occurrence once and shares the rest;
 - ``robinson_unify_efficient`` never instantiates: after the first link
   it walks the pairs right of it once, left to right, reading every
   variable through the links made so far (the substitution applied
@@ -41,7 +45,7 @@ from __future__ import annotations
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 
-from .substitution import Subst, _instantiate, more_general, singleton
+from .substitution import Subst, _bind, _instantiate, more_general, singleton
 from .terms import (
     App,
     Position,
@@ -187,11 +191,13 @@ def _descend(s: Term, t: Term) -> _Conflict:
     subterms found there: the conflict, from the one walk that finds it."""
     pos: list[int] = []
     while type(s) is App and type(t) is App and s.symbol == t.symbol:
-        if len(s.args) != len(t.args):
+        xs, ys = s.args, t.args
+        if len(xs) != len(ys):
             raise _ill_formed(s, t)
-        for i, (a, b) in enumerate(zip(s.args, t.args), start=1):
-            if a != b:
-                pos.append(i)
+        for i in range(len(xs)):
+            a, b = xs[i], ys[i]
+            if a is not b and (a._hash != b._hash or not a == b):
+                pos.append(i + 1)
                 s, t = a, b
                 break
         else:
@@ -352,7 +358,7 @@ def next_position(s: Term, t: Term, p: Position) -> Position:
         if len(sp.args) != len(tp.args):
             raise _ill_formed(sp, tp)
         for i in range(last, len(sp.args)):
-            if sp.args[i] != tp.args[i]:
+            if not sp.args[i] == tp.args[i]:
                 path.append(i + 1)
                 return tuple(path)
     return ROOT
@@ -375,12 +381,8 @@ def _unify(s: Term, t: Term, trace: TraceFn | None) -> UnifyOutcome:
         # Both terms instantiated by the link, with one memo, so a subterm
         # the two share is instantiated once.
         x, u = link
-        table = {x: u}
-        dom, memo = table.keys(), {}
-        s, t = (
-            _instantiate(s, table, dom, memo) if x in s.vars else s,
-            _instantiate(t, table, dom, memo) if x in t.vars else t,
-        )
+        memo: dict = {}
+        s, t = _bind(s, x, u, memo), _bind(t, x, u, memo)
         links[x] = u
         if trace is not None:
             vars_before, vars_now = vars_now, _measure(s, t)

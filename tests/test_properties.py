@@ -10,7 +10,7 @@ from mgu.oracle import (
     enumerated_unifiers,
     solve_equations,
 )
-from mgu.substitution import Subst, compose, identity, more_general, singleton
+from mgu.substitution import Subst, _bind, compose, identity, more_general, singleton
 from mgu.terms import (
     App,
     Signature,
@@ -632,3 +632,37 @@ def test_efficient_walk_matches_robinson_and_the_oracle(pair):
     assert got == ref
     assert all(ts.vars_after == ts.vars_before - 1 for ts in got_steps)
     assert solve_equations(EquationSet([(s, t)])) == got
+
+
+def _shared_nodes_stay_shared(t, out):
+    """Every node that ``t`` holds at several positions is one object at
+    those positions of ``out``."""
+    images = {}
+    for p in positions_of(t):
+        u, v = subterm_at(t, p), subterm_at(out, p)
+        assert images.setdefault(id(u), v) is v
+
+
+@settings(max_examples=300, deadline=None)
+@given(comparable_pairs(), st.sampled_from(VARS5), _images5)
+def test_one_binding_walk_is_apply_of_the_one_binding_substitution(pair, x, u):
+    """``_bind`` is ``Subst({x: u}).apply``, with one memo across terms."""
+    s, t = pair
+    memo = {}
+    for v in (s, t, SIG3.app("h", s, t, s)):
+        out = _bind(v, x, u, memo)
+        assert out == Subst({x: u}).apply(v)
+        if x not in v.vars:
+            assert out is v
+        _shared_nodes_stay_shared(v, out)
+
+
+def test_one_binding_walk_takes_a_100000_deep_chain():
+    n = 100_000
+    t, expected = Var("X"), SIG.app("f", Var("Y"), SIG.app("a"))
+    for _ in range(n):
+        t, expected = SIG.app("g", t), SIG.app("g", expected)
+    out = _bind(t, "X", SIG.app("f", Var("Y"), SIG.app("a")), {})
+    assert out == expected
+    assert out.size == n + 3
+    assert _bind(t, "Z", SIG.app("a"), {}) is t

@@ -1,5 +1,6 @@
 import dataclasses
 import os
+import random
 import subprocess
 import sys
 import threading
@@ -7,8 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from mgu.oracle import EnumBound, EquationSet, enum_terms, solve_equations
-from mgu.substitution import Subst, compose, identity, singleton
+from mgu.oracle import EnumBound, EquationSet, enum_terms, enumerated_unifiers, solve_equations
+from mgu.substitution import Subst, compose, identity, match_terms, more_general, singleton
 from mgu.terms import App, InvalidPositionError, ROOT, Signature, Var, format_term
 from mgu.unify import (
     Clash,
@@ -647,3 +648,54 @@ class TestFailureRendering:
     def test_not_unifiable_error_message(self):
         err = NotUnifiableError(Clash((1,), "f", "g"))
         assert "clash f vs g at 1" in str(err)
+
+
+def _no_ne(self, other):
+    raise AssertionError(f"{self!r} != {other!r}: terms are compared with ==")
+
+
+def _wide_pair(rng, n):
+    """A balanced f-tree of n leaves against an instance of it, one leaf in
+    fifty replaced."""
+    leaves = [rng.choice((X, Y, Z, a, b, g(X), Var(f"V{i}"))) for i in range(n)]
+    sigma = Subst({"X": g(Y), "Y": f(Z, a)})
+    other = [rng.choice((a, b, Z)) if rng.random() < 0.02 else sigma.apply(u) for u in leaves]
+
+    def tree(items):
+        while len(items) > 1:
+            items = [f(*items[i:i + 2]) if i + 1 < len(items) else items[i]
+                     for i in range(0, len(items), 2)]
+        return items[0]
+
+    return tree(leaves), tree(other)
+
+
+def test_no_engine_path_compares_terms_with_ne(monkeypatch):
+    """``!=`` on terms dispatches through ``__ne__`` before ``__eq__``; every
+    engine path compares with ``==``, identity first where it matters."""
+    rng = random.Random(11)
+    universe = enum_terms(EnumBound(2, ("X", "Y"), SIG_ACCEPT))
+    height_1 = EnumBound(1, ("X", "Y"), SIG_ACCEPT)
+    pairs = [(rng.choice(universe), rng.choice(universe)) for _ in range(1_500)]
+    shapes = [_wide_pair(rng, 256), _wide_pair(rng, 1_024), shared_family(12),
+              (shared_chain(14, X), shared_chain(14, Y)),
+              (f(chain(2_000, X), a), f(chain(2_000, g(Y)), Y)),
+              (f(f(Var("X"), chain(20, a)), a), f(f(Var("X"), chain(20, a)), Y))]
+    enumerated = pairs[:300] + [(chain(300, X), chain(300, f(Y, a))), (f(X, chain(50, Y)), f(g(a), X))]
+    monkeypatch.setattr(App, "__ne__", _no_ne, raising=False)
+    monkeypatch.setattr(Var, "__ne__", _no_ne, raising=False)
+    for s, t in pairs + shapes + shapes[::-1]:
+        outs = [run(s, t) for run in ALGORITHMS] + [solve_equations(EquationSet([(s, t)]))]
+        assert [run(s, t, trace=lambda step: None) for run in ALGORITHMS] == outs[:3]
+        if not s == t:
+            p = first_diff(s, t)
+            next_position(s, t, p)
+        match_terms(s, t)
+        if isinstance(outs[0], Unified):
+            theta = outs[0].mgu
+            assert is_unifier(theta, s, t)
+            assert all(more_general(theta, out.mgu) for out in outs)
+            assert more_general(theta, compose(Subst({"X": a, "Y": b}), theta))
+    for s, t in enumerated:
+        for sigma in enumerated_unifiers(s, t, height_1):
+            assert is_unifier(sigma, s, t)

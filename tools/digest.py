@@ -36,7 +36,11 @@ seeded random equation sets:
   ``ParseError`` message.  ``parse_lines`` with other seeds and counts
   gives a larger comparison;
 - ``enumerated``: ``enumerated_unifiers`` at height 1 on 20,000 seeded
-  ordered pairs of the universe.
+  ordered pairs of the universe;
+- ``substitution``: ``Subst.apply``, ``compose``, ``applied_equal`` and
+  ``more_general`` both ways on 20,000 seeded cases of two substitutions
+  over ``X``, ``Y`` and ``Z`` with universe images and two universe terms
+  (see ``substitution_lines``).
 
 A run takes about a minute on one core.
 """
@@ -234,6 +238,31 @@ def parse_lines(mgu, rng: random.Random, count: int):
         yield f"{kind} {text!r} {result}"
 
 
+def substitution_lines(mgu, universe, rng: random.Random, count: int):
+    """One line per seeded case of ``sigma``, ``tau``, ``s`` and ``t``: the
+    inputs, ``sigma.apply(s)``, ``compose(sigma, tau)``,
+    ``sigma.applied_equal(s, t)`` and ``more_general`` both ways.
+
+    Half the ``tau`` are ``sigma`` with a further substitution composed
+    after it, so that ``sigma`` is more general; half the ``t`` are ``s``
+    under ``tau``, so that some pairs become equal under ``sigma``.
+    """
+
+    def subst():
+        return mgu.Subst({x: rng.choice(universe) for x in ("X", "Y", "Z") if rng.random() < 0.5})
+
+    for _ in range(count):
+        sigma, tau = subst(), subst()
+        if rng.random() < 0.5:
+            tau = mgu.compose(tau, sigma)
+        s = rng.choice(universe)
+        t = tau.apply(s) if rng.random() < 0.5 else rng.choice(universe)
+        yield " ".join(map(str, (
+            sigma, tau, s, t, sigma.apply(s), mgu.compose(sigma, tau),
+            sigma.applied_equal(s, t), mgu.more_general(sigma, tau), mgu.more_general(tau, sigma),
+        )))
+
+
 def main(argv: list[str] | None = None) -> int:
     here = Path(__file__).resolve().parent.parent
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
@@ -340,6 +369,11 @@ def main(argv: list[str] | None = None) -> int:
     for _ in range(20_000):
         s, t = rng.choice(universe), rng.choice(universe)
         out.add(" ".join(map(str, mgu.enumerated_unifiers(s, t, height_1))))
+    sections.append(out)
+
+    out = Section("substitution")
+    for line in substitution_lines(mgu, universe, random.Random(5), 20_000):
+        out.add(line)
     sections.append(out)
 
     for out in sections:
