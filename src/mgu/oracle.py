@@ -17,11 +17,14 @@ substitution under a bound, and ``enumerated_unifiers`` filters the latter
 down to the actual unifiers of a pair; together they give finite, exact
 approximations of the (infinite) set of unifiers to certify mgus against.
 
-``enumerated_unifiers`` first drops, per domain variable, the images that a
-structural clash test rules out with every other variable left open; the
-test uses no unification algorithm.  Every surviving candidate must still
-pass ``is_unifier``, so the result is the same list, in the same order and
-with the same objects, as filtering every enumerated substitution.
+``enumerated_unifiers`` derives its candidates from the terms each domain
+variable faces in the pair, with no unification algorithm: a ground term is
+the one image a variable can keep, an open term keeps the images a
+structural clash test allows, and variables that face each other form a
+class (Martelli & Montanari's multiequations) that takes one image.  Every
+candidate must still pass ``is_unifier``, so the result is the same list,
+in the same order and with the same objects, as filtering every enumerated
+substitution.
 
 Enumeration order is fixed (variables lexically, then symbols lexically,
 argument tuples in product order, earlier domain variables cycling fastest)
@@ -76,6 +79,11 @@ class EnumBound:
         object.__setattr__(self, "max_depth", max_depth)
         object.__setattr__(self, "variables", tuple(sorted(set(variables))))
         object.__setattr__(self, "signature", signature)
+        # Every enumerator cache lookup hashes the bound: once, not per lookup.
+        object.__setattr__(self, "_hash", hash((max_depth, self.variables, signature)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
 
 def solve_equations(eqs: EquationSet) -> UnifyOutcome:
@@ -216,25 +224,42 @@ def enumerated_unifiers(s: Term, t: Term, bound: EnumBound) -> list[Subst]:
         return []
     domain = tuple(sorted(s.vars | t.vars))
     candidates = _enum_substitutions(domain, bound)
-    # Each variable keeps the images that can equal every term it faces,
-    # pre-multiplied by its stride in ``candidates``.
-    offsets = []
+    # Each variable keeps, by image, the offset in ``candidates`` (index
+    # times stride) of each image that can equal every term it faces.
+    # Variables that face each other are joined into a class, one list of
+    # names shared by its members.
+    kept: dict[str, dict[Term, int]] = {}
+    classes = {x: [x] for x in domain}
     stride = 1
     for x in domain:
         images = _images(x, bound)
-        opposite = faced.get(x, ())
-        offsets.append([
-            stride * i
-            for i, u in enumerate(images)
-            if all(_image_may_equal(u, o, x, u) for o in opposite)
-        ])
+        offsets = {u: stride * i for i, u in enumerate(images)}
+        for o in faced.get(x, ()):
+            if type(o) is Var:
+                mine, theirs = classes[x], classes[o.name]
+                if mine is not theirs:
+                    mine += theirs
+                    classes.update(dict.fromkeys(theirs, mine))
+            elif not o.vars:
+                offsets = {o: offsets[o]} if o in offsets else {}
+            else:
+                offsets = {u: k for u, k in offsets.items() if _image_may_equal(u, o, x, u)}
+        kept[x] = offsets
         stride *= len(images)
-    out = []
-    for combo in itertools.product(*reversed(offsets)):
-        sigma = candidates[sum(combo)]
-        if is_unifier(sigma, s, t):
-            out.append(sigma)
-    return out
+    # A class takes each image all its members kept, at the sum of their
+    # offsets; a candidate's index is a sum of one choice per class.
+    choices = []
+    for first, *rest in {id(c): c for c in classes.values()}.values():
+        choices.append([
+            k + sum(kept[y][u] for y in rest)
+            for u, k in kept[first].items()
+            if all(u in kept[y] for y in rest)
+        ])
+    return [
+        candidates[i]
+        for i in sorted(map(sum, itertools.product(*choices)))
+        if is_unifier(candidates[i], s, t)
+    ]
 
 
 def _faced_terms(s: Term, t: Term, faced: dict[str, list[Term]]) -> bool:

@@ -289,6 +289,9 @@ def _match_into(pattern: Term, target: Term, env: dict[str, Term]) -> NoMatch | 
     one symbol with different argument counts raise ValueError.
     """
     todo: list[tuple[Term, Term, _Link]] = [(pattern, target, None)]
+    # Pairs of large nodes already expanded, by id, as in ``applied_equal``:
+    # a repeat is popped only after its first copy has matched in full.
+    seen: set[tuple[int, int]] | None = None
     while todo:
         pattern, target, link = todo.pop()
         if isinstance(pattern, Var):
@@ -300,6 +303,13 @@ def _match_into(pattern: Term, target: Term, env: dict[str, Term]) -> NoMatch | 
             xs, ys = pattern.args, target.args
             if len(xs) != len(ys):
                 raise _ill_formed(pattern, target)
+            if pattern.size > _SMALL:
+                key = (id(pattern), id(target))
+                if seen is None:
+                    seen = set()
+                elif key in seen:
+                    continue
+                seen.add(key)
             for i in range(len(xs), 0, -1):
                 todo.append((xs[i - 1], ys[i - 1], (link, i)))
     return None

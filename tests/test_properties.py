@@ -1,5 +1,6 @@
 """Randomized checks of the algebraic laws the library is built around."""
 
+import pytest
 from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
 from mgu import oracle
@@ -10,7 +11,7 @@ from mgu.oracle import (
     enumerated_unifiers,
     solve_equations,
 )
-from mgu.substitution import Subst, _bind, compose, identity, more_general, singleton
+from mgu.substitution import Subst, _bind, compose, identity, match_terms, more_general, singleton
 from mgu.terms import (
     App,
     Signature,
@@ -278,6 +279,16 @@ def _f3(u, v):
 @example((SIG3.app("h", Var("X"), Var("Y"), Var("Z")), SIG3.app("h", Var("Y"), Var("Z"), Var("X"))))
 @example((SIG3.app("h", Var("X"), SIG3.app("g", Var("Y")), Var("Z")),
           SIG3.app("h", Var("Z"), Var("X"), SIG3.app("a"))))
+# X faces Y and Y faces Z: three variables in one class.
+@example((SIG3.app("h", Var("X"), Var("Y"), SIG3.app("g", Var("Z"))),
+          SIG3.app("h", Var("Y"), Var("Z"), SIG3.app("g", SIG3.app("a")))))
+# One class whose members face different ground terms.
+@example((SIG3.app("h", Var("X"), Var("X"), Var("Y")), SIG3.app("h", Var("Y"), SIG3.app("a"), SIG3.app("b"))))
+# One variable facing two different ground terms.
+@example((_f3(Var("X"), Var("X")), _f3(SIG3.app("a"), SIG3.app("b"))))
+# One variable facing a ground term and an open one.
+@example((_f3(Var("X"), _f3(Var("X"), Var("Y"))),
+          _f3(_f3(SIG3.app("a"), SIG3.app("b")), _f3(_f3(SIG3.app("a"), Var("Y")), SIG3.app("b")))))
 def test_enumerated_unifiers_matches_unpruned_filter(pair):
     s, t = pair
     domain = sorted(s.vars | t.vars)
@@ -291,6 +302,31 @@ def test_enumerated_unifiers_matches_unpruned_filter(pair):
     got = enumerated_unifiers(s, t, bound)
     assert len(got) == len(reference)
     assert all(a is b for a, b in zip(got, reference))
+
+
+def _f(u, v):
+    return SIG.app("f", u, v)
+
+
+@pytest.mark.parametrize("s, t, checked", [
+    # X and Y face each other: one image for both, not 24 * 24 pairs.
+    (_f(_f(Var("X"), Var("X")), _f(Var("Y"), SIG.app("a"))),
+     _f(_f(Var("X"), Var("X")), _f(Var("X"), SIG.app("a"))), 24),
+    # Y faces a, and X faces Y: X's image is a too, not one of 24.
+    (_f(_f(Var("Y"), Var("X")), SIG.app("g", Var("Y"))),
+     _f(_f(SIG.app("a"), Var("Y")), SIG.app("g", Var("Y"))), 1),
+])
+def test_enumerated_unifiers_checks_one_image_per_class(monkeypatch, s, t, checked):
+    calls = []
+
+    def counted(sigma, s, t):
+        calls.append(sigma)
+        return is_unifier(sigma, s, t)
+
+    monkeypatch.setattr(oracle, "is_unifier", counted)
+    got = enumerated_unifiers(s, t, EnumBound(1, ("X", "Y"), SIG))
+    assert len(calls) == checked
+    assert got == [sigma for sigma in calls if is_unifier(sigma, s, t)]
 
 
 # Pairs over five variables and an arity-3 symbol, for the deferred
@@ -451,6 +487,30 @@ def test_applied_equal_agrees_with_apply_on_larger_terms(pair, sigma):
     s, t = pair
     for u, v in ((s, t), (s, sigma.apply(s)), (sigma.apply(t), t)):
         assert sigma.applied_equal(u, v) == (sigma.apply(u) == sigma.apply(v))
+
+
+@st.composite
+def pattern_and_shared_instance(draw):
+    """A pattern holding one subterm twice against an instance of it, which
+    shares that subterm's image, or against the instance changed at one
+    position."""
+    u = draw(_terms_to_compare)
+    p = SIG3.app("h", u, draw(_terms5), u)
+    t = Subst(draw(st.dictionaries(st.sampled_from(VARS5), _images5, max_size=3))).apply(p)
+    if draw(st.booleans()):
+        ps = positions_of(t)
+        t = replace_at(t, ps[draw(st.integers(0, len(ps) - 1))], draw(_terms5))
+    return p, t
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(pattern_and_shared_instance(), comparable_pairs()))
+def test_matching_shared_input_is_matching_its_tree(pair):
+    """Past 16 nodes, ``match_terms`` matches a pair of nodes once however
+    often the terms repeat it: the same witness, or reason and position, as
+    on tree copies."""
+    p, t = pair
+    assert match_terms(p, t) == match_terms(_copy(p), _copy(t))
 
 
 def _robinson_fold(equations):

@@ -148,6 +148,14 @@ def chain(n, leaf):
     return leaf
 
 
+def shared_chain(n, leaf):
+    """``D_n`` for ``D_0 = leaf`` and ``D_i = f(D_{i-1}, D_{i-1})``: n + 1
+    distinct nodes, 2**(n + 1) - 1 as a tree."""
+    for _ in range(n):
+        leaf = f(leaf, leaf)
+    return leaf
+
+
 class TestAppliedEqual:
     """``applied_equal`` walks without recursion, once per pair of distinct nodes."""
 
@@ -229,6 +237,20 @@ class TestMatch:
         assert match_terms(chain(n, X), chain(n, a)) == Matched(Subst({"X": a}))
         assert match_terms(chain(n, a), chain(n, b)) == NoMatch("clash", (1,) * n)
 
+    def test_shared_chains(self):
+        # Returns only if each pair of distinct nodes is matched once.
+        pattern, target = shared_chain(40, X), shared_chain(40, Y)
+        outcomes = [
+            match_terms(pattern, target),
+            match_terms(f(pattern, X), f(target, a)),
+            match_terms(f(pattern, pattern), f(target, shared_chain(40, a))),
+        ]
+        assert outcomes == [
+            Matched(Subst({"X": Y})),
+            NoMatch("inconsistent-binding", (2,)),
+            NoMatch("inconsistent-binding", (2,) + (1,) * 40),
+        ]
+
 
 class TestMoreGeneral:
     def test_reflexive(self):
@@ -257,6 +279,20 @@ class TestMoreGeneral:
     def test_100000_deep_chains(self):
         n = 100_000
         assert more_general(Subst({"Y": chain(n, X)}), Subst({"X": a, "Y": chain(n, a)}))
+
+    def test_shared_chains(self):
+        # Returns only if each pair of distinct nodes is matched once.  The
+        # outcomes are asserted as plain values: a failure message printing
+        # the chains would print trees of 2**41 nodes.
+        theta = Subst({"Z": shared_chain(40, X)})
+        outcomes = [
+            more_general(theta, Subst({"Z": shared_chain(40, Y), "X": Y})),
+            more_general(theta, Subst({"Z": shared_chain(40, a), "X": a})),
+            # gamma = {X -> Y} would move X as well.
+            more_general(theta, Subst({"Z": shared_chain(40, Y)})),
+            more_general(Subst({"Z": shared_chain(40, a)}), theta),
+        ]
+        assert outcomes == [True, True, False, False]
 
     def test_identity_most_general(self):
         assert more_general(identity(), Subst({"X": f(a, b), "Y": Z}))
