@@ -192,6 +192,13 @@ def _images(name: str, bound: EnumBound) -> tuple[Term, ...]:
 
 
 @lru_cache(maxsize=None)
+def _offsets(name: str, bound: EnumBound, stride: int) -> dict[Term, int]:
+    """Each of ``_images(name, bound)`` mapped to its index times ``stride``.
+    Shared by every call that asks: read it, never change it."""
+    return {u: stride * i for i, u in enumerate(_images(name, bound))}
+
+
+@lru_cache(maxsize=None)
 def _enum_substitutions(domain: tuple[str, ...], bound: EnumBound) -> tuple[Subst, ...]:
     # Reversed so the first domain variable cycles fastest; Subst drops the
     # identity bindings that stand for "unbound".
@@ -225,15 +232,16 @@ def enumerated_unifiers(s: Term, t: Term, bound: EnumBound) -> list[Subst]:
     domain = tuple(sorted(s.vars | t.vars))
     candidates = _enum_substitutions(domain, bound)
     # Each variable keeps, by image, the offset in ``candidates`` (index
-    # times stride) of each image that can equal every term it faces.
-    # Variables that face each other are joined into a class, one list of
-    # names shared by its members.
+    # times stride) of each image that can equal every term it faces,
+    # starting from the cached ``_offsets`` table, which the filters below
+    # replace and never change.  Variables that face each other are joined
+    # into a class, one list of names shared by its members.
     kept: dict[str, dict[Term, int]] = {}
     classes = {x: [x] for x in domain}
     stride = 1
     for x in domain:
-        images = _images(x, bound)
-        offsets = {u: stride * i for i, u in enumerate(images)}
+        offsets = _offsets(x, bound, stride)
+        stride *= len(offsets)
         for o in faced.get(x, ()):
             if type(o) is Var:
                 mine, theirs = classes[x], classes[o.name]
@@ -245,7 +253,6 @@ def enumerated_unifiers(s: Term, t: Term, bound: EnumBound) -> list[Subst]:
             else:
                 offsets = {u: k for u, k in offsets.items() if _image_may_equal(u, o, x, u)}
         kept[x] = offsets
-        stride *= len(images)
     # A class takes each image all its members kept, at the sum of their
     # offsets; a candidate's index is a sum of one choice per class.
     choices = []

@@ -43,7 +43,8 @@ class Subst:
     def _of(cls, table: dict[str, Term]) -> Subst:
         """The substitution with exactly the bindings of ``table``, taken as
         it is: every name and image must already be valid and no binding an
-        identity, as for the maps the unification engines build."""
+        identity, as for the maps the unification engines, ``compose``,
+        ``match_terms`` and ``restrict`` build from valid input."""
         sigma = cls.__new__(cls)
         sigma._map = table
         sigma._dom = frozenset(table)
@@ -147,7 +148,7 @@ class Subst:
 
     def restrict(self, names: Iterable[str]) -> Subst:
         keep = set(names)
-        return Subst({x: img for x, img in self._map.items() if x in keep})
+        return Subst._of({x: img for x, img in self._map.items() if x in keep})
 
     def is_idempotent(self) -> bool:
         """True iff composing the substitution with itself changes nothing,
@@ -247,17 +248,26 @@ def singleton(name: str, image: Term) -> Subst:
 def compose(sigma: Subst, tau: Subst) -> Subst:
     """The substitution acting as "apply tau, then apply sigma".
 
-    Bindings that cancel to the identity are dropped, so the result's domain
-    can be smaller than the union of the two domains; as a function on terms
-    the result always equals sigma after tau.
+    Each of tau's images is instantiated by sigma's table, with one memo
+    for the whole call, so a node that several images share is rebuilt
+    once.  Bindings that cancel to the identity are dropped here, so the
+    result's domain can be smaller than the union of the two domains, and
+    the table is taken as it is, with no second pass over its names and
+    images: as a function on terms the result always equals sigma after
+    tau.
     """
     table: dict[str, Term] = {}
+    smap, sdom, memo = sigma._map, sigma._dom, {}
     for x, img in tau._map.items():
-        table[x] = sigma.apply(img)
-    for x, img in sigma._map.items():
+        if not sdom.isdisjoint(img.vars):
+            img = _instantiate(img, smap, sdom, memo)
+            if type(img) is Var and img.name == x:
+                continue
+        table[x] = img
+    for x, img in smap.items():
         if x not in tau._map:
             table[x] = img
-    return Subst(table)
+    return Subst._of(table)
 
 
 def subst_equal(sigma: Subst, tau: Subst) -> bool:
@@ -326,24 +336,39 @@ def match_terms(pattern: Term, target: Term) -> MatchResult:
     """
     env: dict[str, Term] = {}
     bad = _match_into(pattern, target, env)
-    return Matched(Subst(env)) if bad is None else bad
+    if bad is not None:
+        return bad
+    moved = {x: u for x, u in env.items() if not (type(u) is Var and u.name == x)}
+    return Matched(Subst._of(moved))
 
 
 def more_general(theta: Subst, sigma: Subst) -> bool:
     """True iff some gamma satisfies compose(gamma, theta) == sigma.
 
-    Decided constructively: match the theta-image of every variable in
-    either domain against its sigma-image (matching witnesses are unique on
-    the constrained variables), then verify the collected gamma really
-    reproduces sigma.  The verification matters: the matching constraints
-    alone cannot see that gamma must leave untouched variables that sigma
-    leaves untouched (e.g. {X -> Y} is not more general than {X -> a}).
-    The variables are matched in name order, and images that apply one
-    symbol to different argument counts are ill-formed: ValueError, as in
-    ``match_terms``, once matching reaches them.
+    Decided constructively, without building gamma or the composition:
+    match the theta-image of every variable in either domain against its
+    sigma-image, an unbound variable standing for itself.  The matching
+    witness gamma is unique on the variables it binds and makes gamma after
+    theta agree with sigma on every variable matched.  One case is left:
+    gamma must leave alone every variable that neither theta nor sigma
+    binds, since gamma after theta moves it exactly as gamma does and sigma
+    not at all.  Matching alone cannot see that: {X -> Y} is not more
+    general than {X -> a}, because the witness {Y -> a} would move Y, which
+    {X -> a} leaves untouched.  The variables are matched in name order,
+    and images that apply one symbol to different argument counts are
+    ill-formed: ValueError, as in ``match_terms``, once matching reaches
+    them.
     """
     env: dict[str, Term] = {}
-    for x in sorted(theta.dom() | sigma.dom()):
-        if _match_into(theta.get(x), sigma.get(x), env) is not None:
+    tmap, smap, both = theta._map, sigma._map, theta._dom | sigma._dom
+    for x in sorted(both):
+        u, p = smap.get(x) or Var(x), tmap.get(x)
+        if p is None:  # matching the pattern Var(x), without building it
+            if not env.setdefault(x, u) == u:
+                return False
+        elif _match_into(p, u, env) is not None:
             return False
-    return compose(Subst(env), theta) == sigma
+    for x in env.keys() - both:
+        if not env[x] == Var(x):
+            return False
+    return True

@@ -11,7 +11,16 @@ from mgu.oracle import (
     enumerated_unifiers,
     solve_equations,
 )
-from mgu.substitution import Subst, _bind, compose, identity, match_terms, more_general, singleton
+from mgu.substitution import (
+    Matched,
+    Subst,
+    _bind,
+    compose,
+    identity,
+    match_terms,
+    more_general,
+    singleton,
+)
 from mgu.terms import (
     App,
     Signature,
@@ -149,6 +158,22 @@ def test_compose_apply_law(sigma, tau, t):
 @given(substs_st, substs_st, substs_st)
 def test_compose_associative(s1, s2, s3):
     assert compose(s1, compose(s2, s3)) == compose(compose(s1, s2), s3)
+
+
+@DEFAULT
+@given(substs_st, substs_st, terms_st, st.sets(st.sampled_from(VARS)))
+def test_unvalidated_results_are_valid_substitutions(sigma, tau, t, names):
+    """``compose``, ``match_terms`` and ``Subst.restrict`` build their results
+    with ``Subst._of``, which takes a table as it is: each must store no
+    identity binding and equal what the validating constructor makes of it."""
+    composed = compose(sigma, tau)
+    matched = match_terms(t, sigma.apply(t))
+    assert isinstance(matched, Matched)
+    assert matched.witness == sigma.restrict(t.vars)
+    assert composed.apply(t) == sigma.apply(tau.apply(t))
+    for rho in (composed, matched.witness, sigma.restrict(names)):
+        assert not [x for x, u in rho.items() if u == Var(x)]
+        assert rho == Subst(dict(rho.items()))
 
 
 @DEFAULT

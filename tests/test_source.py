@@ -70,3 +70,32 @@ def test_recursion_only_in_the_listed_walks():
         for name in _self_calling(ast.parse(path.read_text(encoding="utf-8")), path.stem)
     }
     assert found == RECURSIVE_WALKS
+
+
+# The only functions of ``mgu.substitution`` that build a substitution with
+# the validating constructor: every other result is a table built from
+# valid substitutions and terms, taken as it is by ``Subst._of``.
+VALIDATING_CALLERS = {"Subst.__init__", "identity", "singleton"}
+
+
+def _callers_of(node, callee, qualname=""):
+    """Qualified names of the functions under ``node`` that call ``callee``
+    by name, each function's body counted without the functions nested in it."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            yield from _callers_of(child, callee, f"{qualname}.{child.name}".lstrip("."))
+            continue
+        if (isinstance(child, ast.Call) and isinstance(child.func, ast.Name)
+                and child.func.id == callee):
+            yield qualname
+        yield from _callers_of(child, callee, qualname)
+
+
+def test_substitution_algebra_builds_no_validated_copies():
+    """Only the listed functions of ``substitution.py`` call ``Subst(``, so
+    a later edit cannot put the re-validation of every name and image back
+    onto ``compose``, ``more_general``, ``match_terms`` or ``restrict``."""
+    path = next(path for path in SOURCES if path.name == "substitution.py")
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    found = set(_callers_of(tree, "Subst")) | set(_callers_of(tree, "cls"))
+    assert found <= VALIDATING_CALLERS, sorted(found - VALIDATING_CALLERS)

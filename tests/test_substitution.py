@@ -1,5 +1,8 @@
+import random
+
 import pytest
 
+from mgu.oracle import EnumBound, enum_substitutions, enum_terms
 from mgu.substitution import (
     Matched,
     NoMatch,
@@ -296,3 +299,38 @@ class TestMoreGeneral:
 
     def test_identity_most_general(self):
         assert more_general(identity(), Subst({"X": f(a, b), "Y": Z}))
+
+    def test_agrees_with_a_search_over_every_gamma(self):
+        """``more_general`` against a brute force that knows nothing of
+        matching: whether some gamma of height at most 1 over ``X`` and
+        ``Y`` has compose(gamma, theta) == sigma.
+
+        The search is exact here.  Every image drawn is of height at most 1
+        over ``X`` and ``Y``.  When sigma is drawn too, a witness, if there
+        is one, binds only ``X`` and ``Y``, to subterms of sigma's images,
+        and lies inside the bound.  When sigma is gamma after theta for a
+        drawn gamma, built here from the definition and not by
+        ``compose``, the search finds that gamma.  Variables are drawn as
+        often as all other images together, so that gamma often undoes a
+        renaming in theta and ``compose`` has an identity binding to drop.
+        """
+        bound = EnumBound(1, ("X", "Y"), SIG)
+        gammas = enum_substitutions(("X", "Y"), bound)
+        pool = enum_terms(bound) + [X, Y] * 10
+        rng = random.Random(1601)
+
+        def drawn():
+            return Subst({x: rng.choice(pool) for x in ("X", "Y") if rng.random() < 0.6})
+
+        answers = []
+        for i in range(400):
+            theta = drawn()
+            if i % 2:
+                sigma = drawn()
+            else:
+                witness = drawn()
+                sigma = Subst({x: witness.apply(theta.get(x)) for x in theta.dom() | witness.dom()})
+            searched = any(compose(gamma, theta) == sigma for gamma in gammas)
+            assert more_general(theta, sigma) == searched, (theta, sigma)
+            answers.append(searched)
+        assert 0 < answers[1::2].count(True) < 200
