@@ -35,9 +35,10 @@ from __future__ import annotations
 
 import itertools
 from collections import defaultdict
-from collections.abc import Iterable
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass
 from functools import lru_cache
+from types import MappingProxyType
 
 from .substitution import Subst, _bind
 from .terms import App, Signature, Term, Var, _ill_formed, _position
@@ -192,10 +193,17 @@ def _images(name: str, bound: EnumBound) -> tuple[Term, ...]:
 
 
 @lru_cache(maxsize=None)
-def _offsets(name: str, bound: EnumBound, stride: int) -> dict[Term, int]:
-    """Each of ``_images(name, bound)`` mapped to its index times ``stride``.
-    Shared by every call that asks: read it, never change it."""
-    return {u: stride * i for i, u in enumerate(_images(name, bound))}
+def _offsets(domain: tuple[str, ...], bound: EnumBound) -> tuple[Mapping[Term, int], ...]:
+    """Per variable of ``domain``, each of its ``_images`` mapped to its
+    offset in ``_enum_substitutions(domain, bound)``: the image's index times
+    the product of the image counts of the variables before it.  Read-only
+    views, one tuple per domain as ``_enum_substitutions`` keeps."""
+    tables, stride = [], 1
+    for x in domain:
+        images = _images(x, bound)
+        tables.append(MappingProxyType({u: stride * i for i, u in enumerate(images)}))
+        stride *= len(images)
+    return tuple(tables)
 
 
 @lru_cache(maxsize=None)
@@ -233,15 +241,12 @@ def enumerated_unifiers(s: Term, t: Term, bound: EnumBound) -> list[Subst]:
     candidates = _enum_substitutions(domain, bound)
     # Each variable keeps, by image, the offset in ``candidates`` (index
     # times stride) of each image that can equal every term it faces,
-    # starting from the cached ``_offsets`` table, which the filters below
-    # replace and never change.  Variables that face each other are joined
-    # into a class, one list of names shared by its members.
-    kept: dict[str, dict[Term, int]] = {}
+    # starting from its cached read-only ``_offsets`` table, which the
+    # filters below replace with new dicts.  Variables that face each other
+    # are joined into a class, one list of names shared by its members.
+    kept: dict[str, Mapping[Term, int]] = {}
     classes = {x: [x] for x in domain}
-    stride = 1
-    for x in domain:
-        offsets = _offsets(x, bound, stride)
-        stride *= len(offsets)
+    for x, offsets in zip(domain, _offsets(domain, bound)):
         for o in faced.get(x, ()):
             if type(o) is Var:
                 mine, theirs = classes[x], classes[o.name]

@@ -248,23 +248,18 @@ def singleton(name: str, image: Term) -> Subst:
 def compose(sigma: Subst, tau: Subst) -> Subst:
     """The substitution acting as "apply tau, then apply sigma".
 
-    Each of tau's images is instantiated by sigma's table, with one memo
-    for the whole call, so a node that several images share is rebuilt
-    once.  Bindings that cancel to the identity are dropped here, so the
-    result's domain can be smaller than the union of the two domains, and
-    the table is taken as it is, with no second pass over its names and
-    images: as a function on terms the result always equals sigma after
-    tau.
+    Each of tau's images goes through ``sigma.apply``.  Bindings that cancel
+    to the identity are dropped here, so the result's domain can be smaller
+    than the union of the two domains, and the table is taken as it is,
+    with no second pass over its names and images: as a function on terms
+    the result always equals sigma after tau.
     """
     table: dict[str, Term] = {}
-    smap, sdom, memo = sigma._map, sigma._dom, {}
     for x, img in tau._map.items():
-        if not sdom.isdisjoint(img.vars):
-            img = _instantiate(img, smap, sdom, memo)
-            if type(img) is Var and img.name == x:
-                continue
-        table[x] = img
-    for x, img in smap.items():
+        img = sigma.apply(img)
+        if not (type(img) is Var and img.name == x):
+            table[x] = img
+    for x, img in sigma._map.items():
         if x not in tau._map:
             table[x] = img
     return Subst._of(table)
