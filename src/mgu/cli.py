@@ -7,10 +7,17 @@ parser takes its tokens with one regular expression and, like every command
 behind it, walks them with a loop, so the CLI takes input as deep as the
 library does.
 
-``main`` builds its argument parser once per process, on its first call,
-and shares it with every later call: parsing leaves the parser unchanged,
-and usage and help are formatted when they are printed.  ``build_parser``
-still returns a fresh parser for callers that want their own.
+``main`` runs argparse once per call.  When the first argument names a
+subcommand, the rest go straight to that subcommand's parser, the object the
+shared parser would hand them to, so usage, help and errors are the same;
+arguments it leaves over get the shared parser's "unrecognized arguments"
+error.  Any other argument list (none, ``-h``, an option first, an unknown
+subcommand) goes through the shared parser.  Both are built on the first
+call and shared by every later one: parsing leaves a parser unchanged, and
+usage and help are formatted when they are printed.  ``build_parser`` still
+returns a fresh parser for callers that want their own.  The signature file
+is read on every call, so an edit is seen by the next one, and each distinct
+text of it is parsed once.
 """
 
 from __future__ import annotations
@@ -217,12 +224,20 @@ def parse_subst(text: str, sig: Signature) -> Subst:
     return Subst(bindings)
 
 
+@functools.lru_cache(maxsize=16)
+def _signature_of(text: str) -> Signature:
+    """``parse_signature``, once per distinct text: it is a pure function of
+    the text and a ``Signature`` is immutable.  A text that fails to parse
+    is not cached, so it raises on every call."""
+    return parse_signature(text)
+
+
 def _load_signature(config: SessionConfig) -> Signature:
     path = config.signature_path or os.environ.get(SIG_ENV_VAR)
     if path is None:
         return Signature()
     with open(path, encoding="utf-8") as handle:
-        return parse_signature(handle.read())
+        return _signature_of(handle.read())
 
 
 def _input_error(err: Exception | str) -> int:
@@ -239,7 +254,7 @@ def cmd_unify(config: SessionConfig, s_text: str, t_text: str) -> int:
         sig = _load_signature(config)
         s = parse_term(s_text, sig)
         t = parse_term(t_text, sig)
-    except (ParseError, OSError) as err:
+    except (ValueError, OSError) as err:
         return _input_error(err)
 
     def emit_step(ts: TraceStep) -> None:
@@ -387,9 +402,27 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
+@functools.cache
+def _subparsers() -> dict[str, argparse.ArgumentParser]:
+    """Subcommand -> its parser, the object ``_parser()`` dispatches to."""
+    (action,) = (a for a in _parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return action.choices
+
+
 def main(argv: list[str] | None = None) -> int:
+    args = sys.argv[1:] if argv is None else list(argv)
+    command = args[0] if args else None
+    sub = _subparsers().get(command)
     try:
-        ns = _parser().parse_args(argv)
+        if sub is None:
+            ns = _parser().parse_args(args)
+            command = ns.command
+        else:
+            # What the shared parser's subparsers action runs on these
+            # strings, and the error its parse_args gives for what is left.
+            ns, extras = sub.parse_known_args(args[1:])
+            if extras:
+                _parser().error(f"unrecognized arguments: {' '.join(extras)}")
     except SystemExit as exit_:  # argparse already printed the message
         return int(exit_.code or 0)
     config = SessionConfig(
@@ -398,9 +431,9 @@ def main(argv: list[str] | None = None) -> int:
         trace=getattr(ns, "trace", False),
         output=ns.output,
     )
-    if ns.command == "unify":
+    if command == "unify":
         return cmd_unify(config, ns.s, ns.t)
-    return cmd_utils(config, ns.command, [getattr(ns, a) for a in _UTILITIES[ns.command][0]])
+    return cmd_utils(config, command, [getattr(ns, a) for a in _UTILITIES[command][0]])
 
 
 if __name__ == "__main__":

@@ -1,3 +1,4 @@
+import importlib.util
 import itertools
 import json
 import os
@@ -11,8 +12,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mgu.cli import (
+    _UTILITIES,
+    ALGORITHMS,
     ParseError,
     SessionConfig,
+    build_parser,
     cmd_unify,
     cmd_utils,
     main,
@@ -376,6 +380,44 @@ class TestCmdUnify:
         assert capsys.readouterr() == ("", "error: unknown algorithm 'zzz'\n")
 
 
+class TestSignatureFile:
+    def test_edit_is_seen_by_the_next_call(self, tmp_path, capsys):
+        """The second text has the first one's size and modification time, so
+        only its content tells the two apart."""
+        path = tmp_path / "edited.sig"
+        path.write_text("f/2\na/0\n")
+        before = os.stat(path).st_mtime_ns
+        assert main(["unify", "f(X, a)", "f(a, X)", "--sig", str(path)]) == 0
+        assert capsys.readouterr() == ("{X -> a}\n", "")
+        path.write_text("h/2\nb/0\n")
+        os.utime(path, ns=(before, before))
+        assert main(["unify", "h(X, b)", "h(b, X)", "--sig", str(path)]) == 0
+        assert capsys.readouterr() == ("{X -> b}\n", "")
+        assert main(["unify", "f(X, a)", "f(a, X)", "--sig", str(path)]) == 2
+        assert capsys.readouterr() == ("", "error: offset 0: unknown symbol 'f'\n")
+
+    def test_bad_text_raises_on_every_call(self, tmp_path, capsys):
+        path = tmp_path / "bad.sig"
+        path.write_text("f/2\nf/1\n")
+        for _ in range(2):
+            assert main(["unify", "X", "Y", "--sig", str(path)]) == 2
+            assert capsys.readouterr() == ("", "error: line 2: duplicate symbol 'f'\n")
+
+    @pytest.mark.parametrize("argv", [
+        ["unify", "X", "Y"], ["unify", "X", "Y", "--trace", "--output", "structured"],
+        ["positions", "X"], ["subterm", "X", "e"], ["replace", "X", "e", "Y"],
+        ["apply", "{}", "X"], ["compose", "{}", "{}"], ["match", "X", "Y"],
+    ])
+    def test_not_utf8_is_an_input_error(self, tmp_path, capsys, argv):
+        path = tmp_path / "bad.sig"
+        path.write_bytes(b"\xff\xfef/2\n")
+        assert main([*argv, "--sig", str(path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: 'utf-8' codec can't decode byte 0xff")
+        assert err.count("\n") == 1 and err.endswith("\n")
+
+
 class TestCmdUtils:
     def test_positions(self, sig_file, capsys):
         assert main(["positions", "f(X, g(a))", "--sig", sig_file]) == 0
@@ -599,6 +641,58 @@ class TestGolden:
     def test_unknown_utility(self, sig_file, capsys, subcommand):
         assert cmd_utils(SessionConfig(signature_path=sig_file), subcommand, []) == 2
         assert capsys.readouterr() == ("", f"error: unknown subcommand {subcommand!r}\n")
+
+
+def _load_digest():
+    path = Path(__file__).resolve().parent.parent / "tools" / "digest.py"
+    spec = importlib.util.spec_from_file_location("digest", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _main_through_the_full_parser(argv):
+    """The reference for ``main``: every argument list parsed by a fresh
+    ``build_parser()`` and dispatched on the parsed subcommand."""
+    try:
+        ns = build_parser().parse_args(argv)
+    except SystemExit as exit_:
+        return int(exit_.code or 0)
+    config = SessionConfig(ns.sig, getattr(ns, "algorithm", "robinson"), getattr(ns, "trace", False), ns.output)
+    if ns.command == "unify":
+        return cmd_unify(config, ns.s, ns.t)
+    return cmd_utils(config, ns.command, [getattr(ns, a) for a in _UTILITIES[ns.command][0]])
+
+
+class TestDispatch:
+    """``main`` hands the arguments after a subcommand's name to that
+    subcommand's parser; every output must be the full parser's.  The
+    argument lists are those of the ``cli`` section of ``tools/digest.py``."""
+
+    def test_covers_every_golden_argv(self):
+        digest = _load_digest()
+        sig = digest.SIG
+        golden = [
+            ["unify", *param.values[0], "--algorithm", algorithm, "--sig", sig]
+            for rows, algorithms in (
+                (_golden_params(GOLDEN_UNIFY), ALGORITHMS),
+                (_golden_params(GOLDEN_UNIFY_TRACE, "--trace"), ALGORITHMS[:3]),
+                (_golden_params(GOLDEN_MM_TRACE, "--trace"), ALGORITHMS[3:]),
+            )
+            for param in rows
+            for algorithm in algorithms
+        ] + [[*param.values[0], "--sig", sig] for param in _golden_params(GOLDEN_UTILS)]
+        covered = {tuple(argv) for argv in digest.cli_argvs()}
+        assert [argv for argv in golden if tuple(argv) not in covered] == []
+
+    def test_same_bytes_as_the_full_parser(self, sig_file, capsys, monkeypatch):
+        monkeypatch.setenv("COLUMNS", "80")
+        digest = _load_digest()
+        for argv in digest.cli_argvs():
+            argv = [arg.replace(digest.SIG, sig_file) for arg in argv]
+            got = (main(argv), *capsys.readouterr())
+            expected = (_main_through_the_full_parser(argv), *capsys.readouterr())
+            assert (argv, got) == (argv, expected)
 
 
 def _run_cli(*argv):

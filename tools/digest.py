@@ -40,7 +40,14 @@ seeded random equation sets:
 - ``substitution``: ``Subst.apply``, ``compose``, ``applied_equal`` and
   ``more_general`` both ways on 20,000 seeded cases of two substitutions
   over ``X``, ``Y`` and ``Z`` with universe images and two universe terms
-  (see ``substitution_lines``).
+  (see ``substitution_lines``);
+- ``cli``: ``mgu.cli.main`` in-process, with ``COLUMNS`` pinned, on the
+  argument lists of ``cli_argvs`` (the golden inputs under every algorithm
+  and output form, and argparse's edges: help, abbreviations, ``--``,
+  missing, extra and unknown arguments, bad choices, an option before the
+  subcommand, unknown subcommands) and on 600 seeded ``unify`` (every
+  algorithm and form) and utility commands over the universe: the argument
+  list, then the exit code, stdout and stderr.
 
 A run takes about a minute on one core.
 """
@@ -50,8 +57,12 @@ from __future__ import annotations
 import argparse
 import hashlib
 import importlib
+import io
+import os
 import random
 import sys
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
 from pathlib import Path
 
 
@@ -263,6 +274,125 @@ def substitution_lines(mgu, universe, rng: random.Random, count: int):
         )))
 
 
+# Stands for the signature file (``f/2 g/1 a/0 b/0``) in a CLI argument
+# list, so that a printed list does not depend on where the file is.
+SIG = "<sig>"
+SIG_TEXT = "f/2\ng/1\na/0\nb/0\n"
+ALGORITHMS = ("classic", "robinson", "efficient", "mm")
+FORMS = ((), ("--output", "structured"), ("--trace",), ("--trace", "--output", "structured"))
+UTILITIES = ("positions", "subterm", "replace", "apply", "compose", "match")
+
+# The inputs of the CLI's golden tests (``TestGolden`` in tests/test_cli.py).
+_GOLDEN_PAIRS = (("f(X, g(Y))", "f(g(Z), X)"), ("f(X, a)", "f(b, X)"), ("f(X, Y)", "f(Y, g(X))"),
+                 ("f(X", "a"), ("h(X)", "X"))
+_GOLDEN_UTILS = (
+    ("positions", "f(X, g(a))"), ("positions", "f(X, g(a)"),
+    ("subterm", "f(X, g(a))", "2.1"), ("subterm", "f(X, g(a))", "1.1"), ("subterm", "f(X, g(a))", "0"),
+    ("subterm", "f(X", "0"),
+    ("replace", "f(X, g(a))", "2.1", "b"), ("replace", "f(X, g(a))", "3", "b"),
+    ("replace", "f(X, g(a))", "1", "c"), ("replace", "f(X, g(a))", "x", "c"),
+    ("apply", "{X -> a}", "f(X, Y)"), ("apply", "{a -> b}", "X"), ("apply", "{X -> a}", "f(X)"),
+    ("compose", "{X -> a}", "{Y -> f(X, X)}"), ("compose", "{X -> a", "{}"),
+    ("match", "g(X)", "g(f(a, b))"), ("match", "f(X, X)", "f(a, b)"), ("match", "g(a)", "g(b)"),
+    ("match", "f(a)", "g(a)"),
+)
+# Where argparse's dispatch has edges: help, abbreviations, '--', repeated,
+# missing, extra and unknown arguments, bad choices, an option before the
+# subcommand, and subcommands that do not exist.
+_CLI_EDGES = (
+    (), ("-h",), ("--help",), ("-x",), ("--sig", SIG), ("--sig", SIG, "unify", "X", "a"),
+    ("nope", "X"), ("unif", "X", "a"), ("Unify", "X", "a"), ("--", "unify", "X", "a"),
+    *((command, flag) for command in ("unify", *UTILITIES) for flag in ("-h", "--help")),
+    ("unify", "X", "a", "--he"), ("unify", "X", "-h", "a", "--nope"), ("positions", "--h"),
+    ("unify", "f(X, g(Y))", "f(g(Z), X)", f"--sig={SIG}"),
+    ("unify", "f(X, a)", "f(b, X)", "--si", SIG, "--alg", "mm", "--tr", "--out", "structured"),
+    ("unify", "f(X, a)", "f(b, X)", "--al=classic", f"--s={SIG}", "--tr"),
+    ("unify", "f(X, Y)", "f(Y, g(X))", "--alg", "eff", "--sig", SIG),
+    ("unify", "--sig", SIG, "--", "f(X, g(Y))", "f(g(Z), X)"),
+    ("unify", "f(X, g(Y))", "--", "f(g(Z), X)", "--sig", SIG),
+    ("unify", "--", "X", "--", "a"), ("unify", "X", "a", "--"), ("subterm", "--", "-1", "e"),
+    ("unify", "X", "a", "--algorithm", "classic", "--algorithm", "mm", "--sig", SIG),
+    ("unify", "X", "a", "--sig", "missing.sig", "--sig", SIG, "--trace", "--trace"),
+    ("unify", "X", "--sig", SIG), ("unify",), ("subterm", "f(X, g(a))", "--sig", SIG), ("match",),
+    ("unify", "X", "a", "b", "--sig", SIG), ("positions", "a", "b", "c", "--sig", SIG),
+    ("unify", "X", "a", "--nope", "--sig", SIG), ("apply", "{}", "X", "--nope=1", "--sig", SIG, "more"),
+    ("compose", "{}", "{}", "-n", "--n", "--output=text"),
+    ("unify", "X", "a", "--algorithm", "nope"), ("unify", "X", "a", "--algorithm"),
+    ("unify", "X", "a", "--output", "json"), ("match", "X", "a", "--output", "json", "--sig", SIG),
+    ("unify", "X", "a", "--trace=1"), ("compose", "{}", "{}", "--output"),
+    ("positions", "X", "--algorithm", "mm"), ("apply", "{}", "X", "--trace"),
+)
+
+
+def cli_argvs():
+    """The fixed CLI argument lists: the golden inputs under every algorithm
+    and output form, then ``_CLI_EDGES``; ``SIG`` stands for the file."""
+    for s, t in _GOLDEN_PAIRS:
+        for algorithm in ALGORITHMS:
+            for trace in ((), ("--trace",)):
+                for output in ("text", "structured"):
+                    yield ("unify", s, t, *trace, "--output", output, "--algorithm", algorithm, "--sig", SIG)
+    for argv in _GOLDEN_UTILS:
+        for output in ("text", "structured"):
+            yield (*argv, "--output", output, "--sig", SIG)
+    yield from _CLI_EDGES
+
+
+def cli_commands(mgu, universe, rng: random.Random, count: int):
+    """Seeded CLI argument lists over the universe: ``unify`` under every
+    algorithm in every form, then each utility, in turn.  A tenth of the
+    positions are one past the last child, which is invalid."""
+    fmt, fpos = mgu.format_term, mgu.format_position
+    schedule = [("unify", algorithm, form) for algorithm in ALGORITHMS for form in FORMS]
+    schedule += [(utility, None, FORMS[k]) for utility in UTILITIES for k in (0, 1)]
+
+    def subst():
+        return str(mgu.Subst({x: rng.choice(universe) for x in ("X", "Y", "Z") if rng.random() < 0.5}))
+
+    def position(t):
+        p = rng.choice(mgu.positions_of(t))
+        if rng.random() < 0.1:
+            p += (len(getattr(mgu.subterm_at(t, p), "args", ())) + 1,)
+        return fpos(p)
+
+    for i in range(count):
+        kind, algorithm, form = schedule[i % len(schedule)]
+        s, t = rng.choice(universe), rng.choice(universe)
+        if kind == "unify":
+            args = (fmt(s), fmt(t), "--algorithm", algorithm)
+        elif kind == "positions":
+            args = (fmt(s),)
+        elif kind == "subterm":
+            args = (fmt(s), position(s))
+        elif kind == "replace":
+            args = (fmt(s), position(s), fmt(t))
+        elif kind == "apply":
+            args = (subst(), fmt(s))
+        elif kind == "compose":
+            args = (subst(), subst())
+        else:
+            args = (fmt(s), fmt(mgu.Subst({"X": t}).apply(s)) if rng.random() < 0.7 else fmt(t))
+        yield (kind, *args, *form, "--sig", SIG)
+
+
+def cli_lines(argvs):
+    """One line per argument list: the list, then the exit code, stdout and
+    stderr of ``mgu.cli.main`` on it, with ``SIG`` a file of ``SIG_TEXT``
+    (and its path printed as ``SIG``) and help formatted for 80 columns."""
+    cli = importlib.import_module("mgu.cli")
+    os.environ["COLUMNS"] = "80"
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "digest.sig")
+        with open(path, "w", encoding="utf-8") as handle:
+            handle.write(SIG_TEXT)
+        for argv in argvs:
+            out, err = io.StringIO(), io.StringIO()
+            with redirect_stdout(out), redirect_stderr(err):
+                code = cli.main([arg.replace(SIG, path) for arg in argv])
+            line = f"{list(argv)!r} {code} {out.getvalue()!r} {err.getvalue()!r}"
+            yield line.replace(path, SIG)
+
+
 def main(argv: list[str] | None = None) -> int:
     here = Path(__file__).resolve().parent.parent
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
@@ -373,6 +503,11 @@ def main(argv: list[str] | None = None) -> int:
 
     out = Section("substitution")
     for line in substitution_lines(mgu, universe, random.Random(5), 20_000):
+        out.add(line)
+    sections.append(out)
+
+    out = Section("cli")
+    for line in cli_lines([*cli_argvs(), *cli_commands(mgu, universe, random.Random(6), 600)]):
         out.add(line)
     sections.append(out)
 
