@@ -2,10 +2,16 @@
 unification algorithm, and expose the term/substitution utilities.
 
 Exit codes: 0 for a successful result, 1 when the domain says no (not
-unifiable, invalid position, no match), 2 for any input error.  The term
-parser takes its tokens with one regular expression and, like every command
-behind it, walks them with a loop, so the CLI takes input as deep as the
-library does.
+unifiable, invalid position, no match), 2 for any input error and for output
+that cannot be written.  The term parser takes its tokens with one regular
+expression and, like every command behind it, walks them with a loop, so the
+CLI takes input as deep as the library does.
+
+Every subcommand, ``unify`` among them, is one entry of ``_COMMANDS``: its
+argument names and its handler.  ``build_parser`` makes one subparser per
+entry, and ``_run`` loads the signature, calls the handler on the parsed
+arguments and turns an error, the handler's own output included, into its
+exit code and one ``error:`` line.
 
 ``main`` runs argparse once per call.  When the first argument names a
 subcommand, the rest go straight to that subcommand's parser, the object the
@@ -28,7 +34,6 @@ import os
 import re
 import sys
 from collections.abc import Callable
-from dataclasses import dataclass
 
 from .oracle import EquationSet, solve_equations
 from .substitution import Matched, Subst, compose, match_terms
@@ -76,14 +81,6 @@ ALGORITHMS = tuple(_UNIFIERS)
 
 class ParseError(ValueError):
     pass
-
-
-@dataclass
-class SessionConfig:
-    signature_path: str | None = None
-    algorithm: str = "robinson"
-    trace: bool = False
-    output: str = "text"
 
 
 def parse_signature(text: str) -> Signature:
@@ -232,48 +229,38 @@ def _signature_of(text: str) -> Signature:
     return parse_signature(text)
 
 
-def _load_signature(config: SessionConfig) -> Signature:
-    path = config.signature_path or os.environ.get(SIG_ENV_VAR)
+def _load_signature(path: str | None) -> Signature:
+    path = path or os.environ.get(SIG_ENV_VAR)
     if path is None:
         return Signature()
     with open(path, encoding="utf-8") as handle:
         return _signature_of(handle.read())
 
 
-def _input_error(err: Exception | str) -> int:
-    print(f"error: {err}", file=sys.stderr)
-    return 2
-
-
-def cmd_unify(config: SessionConfig, s_text: str, t_text: str) -> int:
-    """Unify two terms with the configured algorithm and print the result."""
-    unify = _UNIFIERS.get(config.algorithm)
-    if unify is None:
-        return _input_error(f"unknown algorithm {config.algorithm!r}")
-    try:
-        sig = _load_signature(config)
-        s = parse_term(s_text, sig)
-        t = parse_term(t_text, sig)
-    except (ValueError, OSError) as err:
-        return _input_error(err)
+# The handlers parse their arguments in order, so that the first bad one is
+# the one reported.
+def _unify(
+    sig: Signature, structured: bool, s_text: str, t_text: str, algorithm: str, trace: bool
+) -> int:
+    """Unify two terms with the chosen algorithm and print the result."""
+    s, t = parse_term(s_text, sig), parse_term(t_text, sig)
 
     def emit_step(ts: TraceStep) -> None:
         print(format_trace_step(ts))
 
-    outcome = unify(s, t, emit_step if config.trace else None)
-
+    outcome = _UNIFIERS[algorithm](s, t, emit_step if trace else None)
     if isinstance(outcome, Unified):
-        if config.output == "structured":
+        if structured:
             print("status: unified")
             print(f"mgu: {outcome.mgu}")
             print(f"steps: {outcome.steps}")
-        elif config.trace:
+        elif trace:
             print(f"result: {outcome.mgu}")
         else:
             print(outcome.mgu)
         return 0
     cause = outcome.cause
-    if config.output == "structured":
+    if structured:
         print("status: fail")
         if isinstance(cause, Clash):
             print("cause: clash")
@@ -294,8 +281,6 @@ def _show(structured: bool, field: str, text: str) -> int:
     return 0
 
 
-# The utilities parse their arguments in order, so that the first bad one is
-# the one reported.
 def _positions(sig: Signature, structured: bool, term: str) -> int:
     rendered = " ".join(format_position(p) for p in positions_of(parse_term(term, sig)))
     return _show(structured, "positions", rendered)
@@ -340,7 +325,8 @@ def _match(sig: Signature, structured: bool, pattern: str, target: str) -> int:
 
 
 # Subcommand -> (argument names, handler); a handler returns the exit code.
-_UTILITIES: dict[str, tuple[tuple[str, ...], Callable[..., int]]] = {
+_COMMANDS: dict[str, tuple[tuple[str, ...], Callable[..., int]]] = {
+    "unify": (("s", "t", "algorithm", "trace"), _unify),
     "positions": (("term",), _positions),
     "subterm": (("term", "position"), _subterm),
     "replace": (("term", "position", "replacement"), _replace),
@@ -348,22 +334,6 @@ _UTILITIES: dict[str, tuple[tuple[str, ...], Callable[..., int]]] = {
     "compose": (("subst", "subst2"), _compose),
     "match": (("pattern", "target"), _match),
 }
-
-
-def cmd_utils(config: SessionConfig, subcommand: str, args: list[str]) -> int:
-    """Run one term/substitution utility; see the module docstring for codes."""
-    entry = _UTILITIES.get(subcommand)
-    if entry is None:
-        return _input_error(f"unknown subcommand {subcommand!r}")
-    _, run = entry
-    try:
-        sig = _load_signature(config)
-        return run(sig, config.output == "structured", *args)
-    except InvalidPositionError as err:  # a ValueError, but the domain's "no"
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-    except (ValueError, OSError) as err:
-        return _input_error(err)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -381,15 +351,14 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--sig", metavar="FILE", help="signature file (name/arity per line)")
         p.add_argument("--output", choices=("text", "structured"), default="text")
 
-    p_unify = sub.add_parser("unify", help="unify two terms")
-    p_unify.add_argument("s")
-    p_unify.add_argument("t")
-    p_unify.add_argument("--algorithm", choices=ALGORITHMS, default="robinson")
-    p_unify.add_argument("--trace", action="store_true", help="print one line per resolved conflict")
-    common(p_unify)
-
-    for name, (params, _) in _UTILITIES.items():
-        p = sub.add_parser(name)
+    for name, (params, _) in _COMMANDS.items():
+        if name == "unify":
+            p = sub.add_parser(name, help="unify two terms")
+            p.add_argument("--algorithm", choices=ALGORITHMS, default="robinson")
+            p.add_argument("--trace", action="store_true", help="print one line per resolved conflict")
+            params = params[:2]  # algorithm and trace are the options above
+        else:
+            p = sub.add_parser(name)
         for param in params:
             p.add_argument(param)
         common(p)
@@ -409,6 +378,18 @@ def _subparsers() -> dict[str, argparse.ArgumentParser]:
     return action.choices
 
 
+def _run(command: str, ns: argparse.Namespace) -> int:
+    """Run a parsed command; see the module docstring for the exit codes."""
+    params, handler = _COMMANDS[command]
+    try:
+        sig = _load_signature(ns.sig)
+        return handler(sig, ns.output == "structured", *[getattr(ns, a) for a in params])
+    except (ValueError, OSError) as err:
+        print(f"error: {err}", file=sys.stderr)
+        # An invalid position is a ValueError, but the domain's "no".
+        return 1 if isinstance(err, InvalidPositionError) else 2
+
+
 def main(argv: list[str] | None = None) -> int:
     args = sys.argv[1:] if argv is None else list(argv)
     command = args[0] if args else None
@@ -425,15 +406,7 @@ def main(argv: list[str] | None = None) -> int:
                 _parser().error(f"unrecognized arguments: {' '.join(extras)}")
     except SystemExit as exit_:  # argparse already printed the message
         return int(exit_.code or 0)
-    config = SessionConfig(
-        signature_path=ns.sig,
-        algorithm=getattr(ns, "algorithm", "robinson"),
-        trace=getattr(ns, "trace", False),
-        output=ns.output,
-    )
-    if command == "unify":
-        return cmd_unify(config, ns.s, ns.t)
-    return cmd_utils(config, command, [getattr(ns, a) for a in _UTILITIES[command][0]])
+    return _run(command, ns)
 
 
 if __name__ == "__main__":

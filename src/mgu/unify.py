@@ -55,8 +55,8 @@ from .terms import (
     _ill_formed,
     _Link,
     _position,
+    _spine,
     format_position,
-    subterm_at,
 )
 
 
@@ -338,15 +338,11 @@ def next_position(s: Term, t: Term, p: Position) -> Position:
     ``first_diff``.  A position missing from either term raises
     ``InvalidPositionError``, as in ``subterm_at``.
     """
-    subterm_at(s, p)
-    subterm_at(t, p)
     # The pairs of subterms at the proper prefixes of p, root first: one
-    # walk down, then the climb pops them, and ``path`` with them: after
-    # each pop, ``path`` is the position of the pair just popped.
-    spine = [(s, t)]
-    for i in p[:-1]:
-        s, t = s.args[i - 1], t.args[i - 1]
-        spine.append((s, t))
+    # walk down each term, then the climb pops them, and ``path`` with them:
+    # after each pop, ``path`` is the position of the pair just popped.
+    spine = list(zip(_spine(s, p), _spine(t, p)))
+    spine.pop()  # the pair at p itself
     path = list(p)
     while path:
         sp, tp = spine.pop()

@@ -1,4 +1,6 @@
+import argparse
 import importlib.util
+import io
 import itertools
 import json
 import os
@@ -12,13 +14,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mgu.cli import (
-    _UTILITIES,
+    _COMMANDS,
     ALGORITHMS,
     ParseError,
-    SessionConfig,
+    _run,
     build_parser,
-    cmd_unify,
-    cmd_utils,
     main,
     parse_signature,
     parse_subst,
@@ -370,15 +370,6 @@ class TestCmdUnify:
         assert main(["unify", "X", "Y"]) == 0
         assert capsys.readouterr().out == "{X -> Y}\n"
 
-    def test_config_surface_directly(self, sig_file, capsys):
-        config = SessionConfig(signature_path=sig_file, algorithm="classic")
-        assert cmd_unify(config, "X", "g(a)") == 0
-        assert capsys.readouterr().out == "{X -> g(a)}\n"
-
-    def test_unknown_algorithm_directly(self, capsys):
-        assert cmd_unify(SessionConfig(algorithm="zzz"), "X", "Y") == 2
-        assert capsys.readouterr() == ("", "error: unknown algorithm 'zzz'\n")
-
 
 class TestSignatureFile:
     def test_edit_is_seen_by_the_next_call(self, tmp_path, capsys):
@@ -464,10 +455,24 @@ class TestCmdUtils:
         assert main(["positions", "a", "--sig", sig_file, "--output", "structured"]) == 0
         assert capsys.readouterr().out == "positions: e\n"
 
-    def test_utils_surface_directly(self, sig_file, capsys):
-        config = SessionConfig(signature_path=sig_file)
-        assert cmd_utils(config, "positions", ["g(g(a))"]) == 0
-        assert capsys.readouterr().out == "e 1 1.1\n"
+
+class _Unwritable(io.StringIO):
+    """A stdout whose reader has gone away."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+class TestUnwritableOutput:
+    @pytest.mark.parametrize("argv", [
+        ["unify", "X", "Y"], ["unify", "X", "Y", "--trace"], ["unify", "X", "Y", "--output", "structured"],
+        ["positions", "X"],
+    ])
+    def test_exit_2_and_one_error_line(self, capsys, monkeypatch, argv):
+        monkeypatch.delenv("MGU_SIG", raising=False)
+        monkeypatch.setattr(sys, "stdout", _Unwritable())
+        assert main(argv) == 2
+        assert capsys.readouterr().err == "error: [Errno 32] Broken pipe\n"
 
 
 class TestDeterminism:
@@ -637,11 +642,6 @@ class TestGolden:
         assert main([*argv, "--sig", sig_file]) == code
         assert capsys.readouterr() == (out, err)
 
-    @pytest.mark.parametrize("subcommand", ["nope", "unify"])
-    def test_unknown_utility(self, sig_file, capsys, subcommand):
-        assert cmd_utils(SessionConfig(signature_path=sig_file), subcommand, []) == 2
-        assert capsys.readouterr() == ("", f"error: unknown subcommand {subcommand!r}\n")
-
 
 def _load_digest():
     path = Path(__file__).resolve().parent.parent / "tools" / "digest.py"
@@ -653,21 +653,22 @@ def _load_digest():
 
 def _main_through_the_full_parser(argv):
     """The reference for ``main``: every argument list parsed by a fresh
-    ``build_parser()`` and dispatched on the parsed subcommand."""
+    ``build_parser()`` and run on the parsed subcommand."""
     try:
         ns = build_parser().parse_args(argv)
     except SystemExit as exit_:
         return int(exit_.code or 0)
-    config = SessionConfig(ns.sig, getattr(ns, "algorithm", "robinson"), getattr(ns, "trace", False), ns.output)
-    if ns.command == "unify":
-        return cmd_unify(config, ns.s, ns.t)
-    return cmd_utils(config, ns.command, [getattr(ns, a) for a in _UTILITIES[ns.command][0]])
+    return _run(ns.command, ns)
 
 
 class TestDispatch:
     """``main`` hands the arguments after a subcommand's name to that
     subcommand's parser; every output must be the full parser's.  The
     argument lists are those of the ``cli`` section of ``tools/digest.py``."""
+
+    def test_one_subparser_per_command(self):
+        (action,) = (a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        assert tuple(action.choices) == tuple(_COMMANDS)
 
     def test_covers_every_golden_argv(self):
         digest = _load_digest()
