@@ -13,18 +13,25 @@ to front, as the paper algorithms' links are, so no solved binding is
 ever rewritten.  The pending equations are a list stack, each with the
 link chain (``mgu.terms``) of its position in the equation it came from.
 ``enum_terms`` and ``enum_substitutions`` enumerate every term and every
-substitution under a bound, and ``enumerated_unifiers`` filters the latter
-down to the actual unifiers of a pair; together they give finite, exact
+substitution under a bound, and ``enumerated_unifiers`` picks out of the
+latter the actual unifiers of a pair; together they give finite, exact
 approximations of the (infinite) set of unifiers to certify mgus against.
 
-``enumerated_unifiers`` derives its candidates from the terms each domain
-variable faces in the pair, with no unification algorithm: a ground term is
-the one image a variable can keep, an open term keeps the images a
-structural clash test allows, and variables that face each other form a
-class (Martelli & Montanari's multiequations) that takes one image.  Every
-candidate must still pass ``is_unifier``, so the result is the same list,
-in the same order and with the same objects, as filtering every enumerated
-substitution.
+``enumerated_unifiers`` finds the unifiers among the enumerated
+substitutions by an exact search, with no unification algorithm and no
+matching.  A substitution unifies a pair exactly when each variable's image
+equals the instance of every term the variable faces in it.  Variables that
+face each other form a class (Martelli & Montanari's multiequations) that
+takes one image.  A class that faces a ground term takes that term, found
+by lookup.  One that faces an open term takes the term's instance once the
+classes the term holds have images, so those classes are searched first, in
+topological order; a class inside its own open term, or a cycle of open
+terms, has no unifier.  A class that faces nothing takes every image, of no
+more than the height that the open terms holding it leave.  Every further
+open term is checked as soon as its variables have images.  Only unifiers
+are built, each still passes ``is_unifier``, and the result is the same
+list, in the same order and with the same objects, as filtering every
+enumerated substitution.
 
 Enumeration order is fixed (variables lexically, then symbols lexically,
 argument tuples in product order, earlier domain variables cycling fastest)
@@ -40,7 +47,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from types import MappingProxyType
 
-from .substitution import Subst, _bind
+from .substitution import Subst, _bind, _instantiate
 from .terms import App, Signature, Term, Var, _ill_formed, _position
 from .unify import Clash, Failed, OccursCheck, Unified, UnifyOutcome, is_unifier
 from .unify import _resolved
@@ -100,13 +107,14 @@ def solve_equations(eqs: EquationSet) -> UnifyOutcome:
     ill-formed: ValueError, as in ``first_diff``.
     """
     # A stack: its last entry is the next equation processed, a list
-    # [s, t, link], emptied when popped.  ``holders`` lists the entries of
-    # ``work[:listed]`` under each variable they hold, and each entry an
-    # elimination rewrites under the variables it gains.  An elimination
-    # scans the entries above ``work[:listed]`` itself while there are at
-    # most ``_UNLISTED`` of them, and lists them first otherwise.
+    # [s, t, link], emptied when popped.  ``holders``, made at the first
+    # listing, lists the entries of ``work[:listed]`` under each variable
+    # they hold, and each of them an elimination rewrites under the
+    # variables it gains.  An elimination scans the entries above
+    # ``work[:listed]`` itself while there are at most ``_UNLISTED`` of
+    # them, and lists them first otherwise.
     work = [[s, t, None] for s, t in reversed(eqs.equations)]
-    holders: defaultdict[str, list[list]] = defaultdict(list)
+    holders: defaultdict[str, list[list]] | None = None
     listed = 0
     solved: dict[str, Term] = {}
     while work:
@@ -117,9 +125,9 @@ def solve_equations(eqs: EquationSet) -> UnifyOutcome:
             listed = len(work)
         if s == t:
             continue
-        if isinstance(s, Var):
+        if type(s) is Var:
             x, u = s.name, t
-        elif isinstance(t, Var):
+        elif type(t) is Var:
             x, u = t.name, s
         else:  # two applications
             if s.symbol != t.symbol:
@@ -135,20 +143,27 @@ def solve_equations(eqs: EquationSet) -> UnifyOutcome:
         # Eliminate x := u from the pending equations that hold x, with one
         # memo for every term ``_bind`` rewrites; the others are kept.
         if len(work) - listed > _UNLISTED:
+            if holders is None:
+                holders = defaultdict(list)
             for pending in work[listed:]:
                 for y in itertools.chain(pending[0].vars, pending[1].vars):
                     holders[y].append(pending)
             listed = len(work)
         memo: dict = {}
-        for pending in work[listed:] + holders.pop(x, []):
-            if not pending:  # popped already
-                continue
+        for pending in work[listed:]:
             a, b, _ = pending
-            if x not in a.vars and x not in b.vars:  # without x, or rewritten already
-                continue
-            pending[0], pending[1] = _bind(a, x, u, memo), _bind(b, x, u, memo)
-            for y in u.vars:
-                holders[y].append(pending)
+            if x in a.vars or x in b.vars:
+                pending[0], pending[1] = _bind(a, x, u, memo), _bind(b, x, u, memo)
+        if holders is not None:
+            for pending in holders.pop(x, ()):
+                if not pending:  # popped already
+                    continue
+                a, b, _ = pending
+                if x not in a.vars and x not in b.vars:  # rewritten already
+                    continue
+                pending[0], pending[1] = _bind(a, x, u, memo), _bind(b, x, u, memo)
+                for y in u.vars:
+                    holders[y].append(pending)
         solved[x] = u
     return Unified(_resolved(solved), len(solved))
 
@@ -193,17 +208,22 @@ def _images(name: str, bound: EnumBound) -> tuple[Term, ...]:
 
 
 @lru_cache(maxsize=None)
-def _offsets(domain: tuple[str, ...], bound: EnumBound) -> tuple[Mapping[Term, int], ...]:
-    """Per variable of ``domain``, each of its ``_images`` mapped to its
-    offset in ``_enum_substitutions(domain, bound)``: the image's index times
-    the product of the image counts of the variables before it.  Read-only
-    views, one tuple per domain as ``_enum_substitutions`` keeps."""
-    tables, stride = [], 1
+def _offsets(domain: tuple[str, ...], bound: EnumBound) -> Mapping[str, tuple[Mapping[Term, int], ...]]:
+    """Per variable of ``domain`` and per height ``h`` up to the bound, each
+    of its ``_images`` of height at most ``h`` mapped to its offset in
+    ``_enum_substitutions(domain, bound)``: the image's index times the
+    product of the image counts of the variables before it.  Read-only
+    views, one set per domain as ``_enum_substitutions`` keeps."""
+    lower = [EnumBound(h, bound.variables, bound.signature) for h in range(bound.max_depth)]
+    tables, stride = {}, 1
     for x in domain:
         images = _images(x, bound)
-        tables.append(MappingProxyType({u: stride * i for i, u in enumerate(images)}))
+        full = {u: stride * i for i, u in enumerate(images)}
+        tables[x] = tuple(
+            MappingProxyType({u: full[u] for u in _images(x, b)}) for b in lower
+        ) + (MappingProxyType(full),)
         stride *= len(images)
-    return tuple(tables)
+    return MappingProxyType(tables)
 
 
 @lru_cache(maxsize=None)
@@ -233,45 +253,169 @@ def enumerated_unifiers(s: Term, t: Term, bound: EnumBound) -> list[Subst]:
     empty result is evidence of nothing beyond the bound.  Equal, element
     for element and in order, to filtering ``enum_substitutions`` of the
     pair's variables through ``is_unifier``.
+
+    The unifiers are found by an exact search over classes of variables
+    (see the module docstring), with no unification algorithm and no
+    matching; only they are built, and each still passes ``is_unifier``.
+    A candidate's index is the sum of its members' offsets, and the indices
+    are sorted into enumeration order.
     """
     faced: dict[str, list[Term]] = {}
     if not _faced_terms(s, t, faced):
         return []
     domain = tuple(sorted(s.vars | t.vars))
     candidates = _enum_substitutions(domain, bound)
-    # Each variable keeps, by image, the offset in ``candidates`` (index
-    # times stride) of each image that can equal every term it faces,
-    # starting from its cached read-only ``_offsets`` table, which the
-    # filters below replace with new dicts.  Variables that face each other
-    # are joined into a class, one list of names shared by its members.
-    kept: dict[str, Mapping[Term, int]] = {}
+    offsets = _offsets(domain, bound)
+    # Variables that face each other take one image: they are merged into a
+    # class, one list of names shared by its members.  An open term's
+    # instance is an image too, so no taller than the bound: a variable at
+    # depth d in it takes images of height at most the bound minus d.
     classes = {x: [x] for x in domain}
-    for x, offsets in zip(domain, _offsets(domain, bound)):
-        for o in faced.get(x, ()):
+    height = dict.fromkeys(domain, bound.max_depth)
+    for x, terms in faced.items():
+        for o in terms:
             if type(o) is Var:
                 mine, theirs = classes[x], classes[o.name]
                 if mine is not theirs:
                     mine += theirs
                     classes.update(dict.fromkeys(theirs, mine))
-            elif not o.vars:
-                offsets = {o: offsets[o]} if o in offsets else {}
-            else:
-                offsets = {u: k for u, k in offsets.items() if _image_may_equal(u, o, x, u)}
-        kept[x] = offsets
-    # A class takes each image all its members kept, at the sum of their
-    # offsets; a candidate's index is a sum of one choice per class.
-    choices = []
-    for first, *rest in {id(c): c for c in classes.values()}.values():
-        choices.append([
-            k + sum(kept[y][u] for y in rest)
-            for u, k in kept[first].items()
-            if all(u in kept[y] for y in rest)
-        ])
+            elif o.vars and not _lower_heights(o, height, bound.max_depth):
+                return []
+    # Per class: its members, their offset tables, its (image, offset)
+    # choices or the open term that fixes its image instead, and the open
+    # terms its image is checked against.  A ground term is the one choice,
+    # found by lookup.  Classes without open terms come first.
+    order: list[tuple] = []
+    todo: list[tuple[set[str], tuple]] = []
+    for members in {id(c): c for c in classes.values()}.values():
+        ground, opens = None, []
+        for y in members:
+            for o in faced.get(y, ()):
+                if type(o) is Var:
+                    continue
+                if o.vars:
+                    opens.append(o)
+                elif ground is None:
+                    ground = o
+                elif not ground == o:
+                    return []
+        h = min(height[y] for y in members)
+        tables = [offsets[y][h] for y in members]
+        if ground is not None:
+            k = _offset_of(ground, tables)
+            if k is None:  # taller than the class's images
+                return []
+            c = members, tables, ((ground, k),), None, opens
+        elif opens:
+            c = members, tables, None, opens[0], opens[1:]
+        elif len(members) == 1:
+            c = members, tables, tables[0].items(), None, opens
+        else:
+            c = members, tables, [
+                (u, k) for u in tables[0] if (k := _offset_of(u, tables)) is not None
+            ], None, opens
+        if opens:
+            todo.append((set().union(*(o.vars for o in opens)), c))
+        else:
+            order.append(c)
+    # Then each class after the classes its open terms hold (topological
+    # order).  A class inside its own open term, or a cycle of open terms,
+    # is left unordered: no image equals a term that holds it.
+    assigned = {y for c in order for y in c[0]}
+    while todo:
+        ready = [c for needs, c in todo if needs <= assigned]
+        if not ready:
+            return []
+        todo = [(needs, c) for needs, c in todo if not needs <= assigned]
+        for members, *_ in ready:
+            assigned.update(members)
+        order += ready
     return [
         candidates[i]
-        for i in sorted(map(sum, itertools.product(*choices)))
+        for i in sorted(_search(order))
         if is_unifier(candidates[i], s, t)
     ]
+
+
+def _lower_heights(t: App, height: dict[str, int], top: int) -> bool:
+    """Lower ``height`` of each variable of ``t`` to at most ``top`` minus
+    its depth in ``t``; False if a variable lies deeper than ``top``.  A
+    loop over a stack of (subterm, height) pairs, each holding a variable,
+    that goes no deeper than ``top``."""
+    pending = [(t, top)]
+    while pending:
+        t, h = pending.pop()
+        if h < 0:
+            return False
+        if type(t) is Var:
+            if h < height[t.name]:
+                height[t.name] = h
+        else:
+            pending += [(a, h - 1) for a in t.args if a.vars]
+    return True
+
+
+def _offset_of(u: Term, tables: list[Mapping[Term, int]]) -> int | None:
+    """The sum of the tables' offsets for the image ``u``, or None if a
+    table lacks it."""
+    k = 0
+    for table in tables:
+        o = table.get(u)
+        if o is None:
+            return None
+        k += o
+    return k
+
+
+def _search(order: list[tuple]) -> list[int]:
+    """The index of every candidate that gives each class of ``order`` one
+    of its choices, or the instance of the open term that fixes its image,
+    equal to the instance of each open term it is checked against.
+
+    Depth first over the classes, in one loop over a stack of choice
+    iterators, so the number of classes costs no frames; ``images`` holds
+    the image of every member of the classes above the current one.
+    """
+    if not order:
+        return [0]
+    images: dict[str, Term] = {}
+    found: list[int] = []
+    levels = [_choices(order[0], images)]
+    bases = [0]  # per level, the offset its choices are added to
+    while levels:
+        depth = len(levels)
+        members, _, _, _, checks = order[depth - 1]
+        base = bases[-1]
+        if depth == len(order) and not checks:  # the last class, unchecked
+            found += [base + k for _, k in levels.pop()]
+            bases.pop()
+            continue
+        for u, k in levels[-1]:
+            for y in members:
+                images[y] = u
+            if checks and not all(_is_image(u, o, images) for o in checks):
+                continue
+            if depth == len(order):
+                found.append(base + k)
+                continue
+            bases.append(base + k)
+            levels.append(_choices(order[depth], images))
+            break
+        else:
+            levels.pop()
+            bases.pop()
+    return found
+
+
+def _choices(c: tuple, images: Mapping[str, Term]):
+    """An iterator over the (image, offset) choices of the class ``c`` once
+    the classes its open terms hold have ``images``."""
+    _, tables, choices, fixer, _ = c
+    if fixer is None:
+        return iter(choices)
+    u = _instantiate(fixer, images, fixer.vars, {})
+    k = _offset_of(u, tables)
+    return iter(() if k is None else ((u, k),))
 
 
 def _faced_terms(s: Term, t: Term, faced: dict[str, list[Term]]) -> bool:
@@ -297,16 +441,17 @@ def _faced_terms(s: Term, t: Term, faced: dict[str, list[Term]]) -> bool:
     return True
 
 
-def _image_may_equal(v: Term, t: Term, x: str, u: Term) -> bool:
-    """Whether the fixed term ``v`` can equal ``t`` under ``x -> u``, other
-    variables open.  ``not ==`` skips the ``__ne__`` derived from ``__eq__``."""
+def _is_image(v: Term, t: Term, images: Mapping[str, Term]) -> bool:
+    """Whether ``v`` equals ``t`` with each of its variables replaced by its
+    image in ``images``, without building that instance.  ``not ==`` skips
+    the ``__ne__`` derived from ``__eq__``."""
     pairs: list[tuple[Term, Term]] = []
     while True:
-        if not t.vars:
-            if not v == t:
+        if type(t) is Var:
+            if not v == images[t.name]:
                 return False
-        elif type(t) is Var:
-            if t.name == x and not v == u:
+        elif not t.vars:
+            if not v == t:
                 return False
         elif type(v) is not App or v.symbol != t.symbol:
             return False

@@ -341,14 +341,14 @@ def next_position(s: Term, t: Term, p: Position) -> Position:
     # The pairs of subterms at the proper prefixes of p, root first: one
     # walk down each term, then the climb pops them, and ``path`` with them:
     # after each pop, ``path`` is the position of the pair just popped.
+    # ``_spine`` has checked that both terms hold an application at every
+    # proper prefix of p.
     spine = list(zip(_spine(s, p), _spine(t, p)))
     spine.pop()  # the pair at p itself
     path = list(p)
     while path:
         sp, tp = spine.pop()
         last = path.pop()
-        if not (isinstance(sp, App) and isinstance(tp, App)):
-            raise RuntimeError(f"next_position: parent of {(*path, last)} is a leaf (internal bug)")
         if sp.symbol != tp.symbol:
             return tuple(path)
         if len(sp.args) != len(tp.args):

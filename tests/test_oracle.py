@@ -173,3 +173,4 @@ class TestEnumeratedUnifiers:
             s, t = g(s), g(t)
         assert enumerated_unifiers(s, t, bound) == [Subst({"X": a})]
         assert enumerated_unifiers(X, t, bound) == []
+        assert enumerated_unifiers(Y, s, bound) == []

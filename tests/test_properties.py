@@ -1,5 +1,7 @@
 """Randomized checks of the algebraic laws the library is built around."""
 
+import random
+
 import pytest
 from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
@@ -8,6 +10,7 @@ from mgu.oracle import (
     EnumBound,
     EquationSet,
     enum_substitutions,
+    enum_terms,
     enumerated_unifiers,
     solve_equations,
 )
@@ -314,6 +317,18 @@ def _f3(u, v):
 # One variable facing a ground term and an open one.
 @example((_f3(Var("X"), _f3(Var("X"), Var("Y"))),
           _f3(_f3(SIG3.app("a"), SIG3.app("b")), _f3(_f3(SIG3.app("a"), Var("Y")), SIG3.app("b")))))
+# Y faces an open term that holds X, which faces nothing.
+@example((_f3(Var("Y"), Var("X")), _f3(SIG3.app("g", Var("X")), Var("X"))))
+# X and Y form one class, and Y faces g(X): the class is inside its own open term.
+@example((_f3(Var("X"), Var("Y")), _f3(Var("Y"), SIG3.app("g", Var("X")))))
+# Two open terms chained over X, Y and Z: X faces g(Y), Y faces g(Z).
+@example((SIG3.app("h", Var("X"), Var("Y"), Var("Z")),
+          SIG3.app("h", SIG3.app("g", Var("Y")), SIG3.app("g", Var("Z")), Var("Z"))))
+# Y faces g(a), so X's open term g(Y) has the instance g(g(a)), taller than the bound.
+@example((_f3(Var("X"), Var("Y")), _f3(SIG3.app("g", Var("Y")), SIG3.app("g", SIG3.app("a")))))
+# X faces f(Y, a) and f(Y, Y): one class facing two open terms.
+@example((_f3(Var("X"), Var("X")),
+          _f3(_f3(Var("Y"), SIG3.app("a")), _f3(Var("Y"), Var("Y")))))
 def test_enumerated_unifiers_matches_unpruned_filter(pair):
     s, t = pair
     domain = sorted(s.vars | t.vars)
@@ -329,6 +344,51 @@ def test_enumerated_unifiers_matches_unpruned_filter(pair):
     assert all(a is b for a, b in zip(got, reference))
 
 
+class _CountedIsUnifier:
+    """``is_unifier`` that counts its calls, for ``mgu.oracle`` to look up."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def __call__(self, sigma, s, t):
+        self.calls += 1
+        return is_unifier(sigma, s, t)
+
+
+# At height 0 no open term leaves its variables an image, so the examples
+# above over three variables never reach the search; these do, against
+# 15**3 candidates: images of height 2 over a, b and g/1.
+_G3 = Signature({"a": 0, "b": 0, "g": 1})
+
+
+def _g(*args):
+    return SIG3.app("g", *args)
+
+
+def _h(*args):
+    return SIG3.app("h", *args)
+
+
+@pytest.mark.parametrize("s, t", [
+    # X faces g(Y) and Y faces g(Z): Z's image fixes Y's, which fixes X's.
+    (_h(Var("X"), Var("Y"), Var("Z")), _h(_g(Var("Y")), _g(Var("Z")), Var("Z"))),
+    # The same chain, with X also facing a ground term that checks it.
+    (_h(Var("X"), Var("Y"), Var("X")), _h(_g(Var("Y")), _g(Var("Z")), _g(_g(SIG3.app("a"))))),
+    # A cycle of open terms: X faces g(Y) and Y faces g(X).
+    (_h(Var("X"), Var("Y"), Var("Z")), _h(_g(Var("Y")), _g(Var("X")), SIG3.app("a"))),
+    # X and Y form one class, which faces g(Z); Z faces b.
+    (_h(Var("X"), Var("Y"), Var("Z")), _h(Var("Y"), _g(Var("Z")), SIG3.app("b"))),
+])
+def test_enumerated_unifiers_searches_chains_over_three_variables(monkeypatch, s, t):
+    bound = EnumBound(2, ("X", "Y", "Z"), _G3)
+    reference = [sigma for sigma in enum_substitutions(("X", "Y", "Z"), bound) if is_unifier(sigma, s, t)]
+    counted = _CountedIsUnifier()
+    monkeypatch.setattr(oracle, "is_unifier", counted)
+    got = enumerated_unifiers(s, t, bound)
+    assert len(got) == len(reference) == counted.calls
+    assert all(a is b for a, b in zip(got, reference))
+
+
 def _f(u, v):
     return SIG.app("f", u, v)
 
@@ -340,6 +400,9 @@ def _f(u, v):
     # Y faces a, and X faces Y: X's image is a too, not one of 24.
     (_f(_f(Var("Y"), Var("X")), SIG.app("g", Var("Y"))),
      _f(_f(SIG.app("a"), Var("Y")), SIG.app("g", Var("Y"))), 1),
+    # Y faces f(X, b): Y's image is fixed by X's, one of the 4 of height 0.
+    (_f(_f(Var("X"), SIG.app("b")), _f(Var("X"), Var("X"))),
+     _f(Var("Y"), _f(Var("X"), Var("X"))), 4),
 ])
 def test_enumerated_unifiers_checks_one_image_per_class(monkeypatch, s, t, checked):
     calls = []
@@ -352,6 +415,37 @@ def test_enumerated_unifiers_checks_one_image_per_class(monkeypatch, s, t, check
     got = enumerated_unifiers(s, t, EnumBound(1, ("X", "Y"), SIG))
     assert len(calls) == checked
     assert got == [sigma for sigma in calls if is_unifier(sigma, s, t)]
+
+
+def test_enumerated_unifiers_checks_only_unifiers_on_universe_pairs(monkeypatch):
+    """On 2,000 seeded unifiable pairs of the acceptance universe, every
+    candidate the search builds is a unifier: ``is_unifier`` is called once
+    per result and never refutes one."""
+    universe = enum_terms(EnumBound(2, ("X", "Y"), SIG))
+    bound = EnumBound(1, ("X", "Y"), SIG)
+    rng = random.Random(20)
+    counted = _CountedIsUnifier()
+    monkeypatch.setattr(oracle, "is_unifier", counted)
+    pairs = 0
+    while pairs < 2000:
+        s, t = rng.choice(universe), rng.choice(universe)
+        if not isinstance(robinson_unify(s, t), Unified):
+            continue
+        pairs += 1
+        before = counted.calls
+        got = enumerated_unifiers(s, t, bound)
+        assert counted.calls - before == len(got), (s, t)
+
+
+@settings(max_examples=150, deadline=None)
+@given(pairs_over_up_to_three_vars())
+def test_enumerated_unifiers_checks_only_unifiers_over_three_variables(pair):
+    s, t = pair
+    counted = _CountedIsUnifier()
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(oracle, "is_unifier", counted)
+        got = enumerated_unifiers(s, t, EnumBound(0, ("X", "Y", "Z"), SIG3))
+    assert counted.calls == len(got)
 
 
 # Pairs over five variables and an arity-3 symbol, for the deferred

@@ -99,3 +99,36 @@ def test_substitution_algebra_builds_no_validated_copies():
     tree = ast.parse(path.read_text(encoding="utf-8"))
     found = set(_callers_of(tree, "Subst")) | set(_callers_of(tree, "cls"))
     assert found <= VALIDATING_CALLERS, sorted(found - VALIDATING_CALLERS)
+
+
+# What ``enumerated_unifiers`` certifies: it must reach none of these.
+CERTIFIED = ("classic_unify", "robinson_unify", "robinson_unify_efficient", "solve_equations",
+             "match_terms", "more_general", "_match_into")
+
+
+def test_enumerator_is_independent_of_what_it_certifies():
+    """No function that ``enumerated_unifiers`` reaches in ``oracle.py``
+    calls a unification algorithm or a matching, so the oracle stays
+    independent of what it certifies."""
+    path = next(path for path in SOURCES if path.name == "oracle.py")
+    tree = ast.parse(path.read_text(encoding="utf-8"))
+    functions = {node.name: node for node in tree.body if isinstance(node, ast.FunctionDef)}
+    reached, todo = set(), ["enumerated_unifiers"]
+    while todo:
+        name = todo.pop()
+        if name in reached:
+            continue
+        reached.add(name)
+        todo += (
+            node.func.id for node in ast.walk(functions[name])
+            if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in functions
+        )
+    assert {"_faced_terms", "_search", "_enum_substitutions"} <= reached
+    found = {
+        (caller, callee)
+        for callee in CERTIFIED
+        for caller in _callers_of(tree, callee)
+        if caller.split(".")[0] in reached
+    }
+    assert found == set()
