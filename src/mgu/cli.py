@@ -8,22 +8,24 @@ expression and, like every command behind it, walks them with a loop, so the
 CLI takes input as deep as the library does.
 
 Every subcommand, ``unify`` among them, is one entry of ``_COMMANDS``: its
-argument names and its handler.  ``build_parser`` makes one subparser per
-entry, and ``_run`` loads the signature, calls the handler on the parsed
-arguments and turns an error, the handler's own output included, into its
-exit code and one ``error:`` line.
+positionals, the options it alone takes and its handler; ``_OPTIONS`` holds
+each option's choices and default.  ``build_parser`` makes one subparser per
+entry from the two tables, and ``_run`` loads the signature, calls the
+handler on the parsed arguments and turns an error, the handler's own output
+included, into its exit code and one ``error:`` line.
 
-``main`` runs argparse once per call.  When the first argument names a
-subcommand, the rest go straight to that subcommand's parser, the object the
-shared parser would hand them to, so usage, help and errors are the same;
-arguments it leaves over get the shared parser's "unrecognized arguments"
-error.  Any other argument list (none, ``-h``, an option first, an unknown
-subcommand) goes through the shared parser.  Both are built on the first
-call and shared by every later one: parsing leaves a parser unchanged, and
-usage and help are formatted when they are printed.  ``build_parser`` still
-returns a fresh parser for callers that want their own.  The signature file
-is read on every call, so an edit is seen by the next one, and each distinct
-text of it is parsed once.
+``main`` reads a plain argument list itself (``_read_plain``): a subcommand,
+exactly its positionals, none starting with '-', and its options by their
+full names, each at most once, with valid values that do not start with
+'-'.  Argparse reads such a list one way only, so the reader builds the
+same namespace from the same tables.  Any other list (help, an error, an
+abbreviation, '=', '--', a repeat, an option before the subcommand) goes
+whole through the shared parser, built on its first use and shared by every
+later call: parsing leaves a parser unchanged, and usage and help are
+formatted when they are printed.  ``build_parser`` still returns a fresh
+parser for callers that want their own.  The signature file is read on
+every call, so an edit is seen by the next one, and each distinct text of
+it is parsed once.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ import os
 import re
 import sys
 from collections.abc import Callable
+from typing import Any
 
 from .oracle import EquationSet, solve_equations
 from .substitution import Matched, Subst, compose, match_terms
@@ -230,7 +233,8 @@ def _signature_of(text: str) -> Signature:
 
 
 def _load_signature(path: str | None) -> Signature:
-    path = path or os.environ.get(SIG_ENV_VAR)
+    if path is None:
+        path = os.environ.get(SIG_ENV_VAR)
     if path is None:
         return Signature()
     with open(path, encoding="utf-8") as handle:
@@ -324,15 +328,28 @@ def _match(sig: Signature, structured: bool, pattern: str, target: str) -> int:
     return 1
 
 
-# Subcommand -> (argument names, handler); a handler returns the exit code.
-_COMMANDS: dict[str, tuple[tuple[str, ...], Callable[..., int]]] = {
-    "unify": (("s", "t", "algorithm", "trace"), _unify),
-    "positions": (("term",), _positions),
-    "subterm": (("term", "position"), _subterm),
-    "replace": (("term", "position", "replacement"), _replace),
-    "apply": (("subst", "term"), _apply),
-    "compose": (("subst", "subst2"), _compose),
-    "match": (("pattern", "target"), _match),
+# Subcommand -> (positional names, the options it alone takes, handler).  A
+# handler gets the signature, whether the output is structured, then the
+# positionals' and those options' values, and returns the exit code.
+_COMMANDS: dict[str, tuple[tuple[str, ...], tuple[str, ...], Callable[..., int]]] = {
+    "unify": (("s", "t"), ("algorithm", "trace"), _unify),
+    "positions": (("term",), (), _positions),
+    "subterm": (("term", "position"), (), _subterm),
+    "replace": (("term", "position", "replacement"), (), _replace),
+    "apply": (("subst", "term"), (), _apply),
+    "compose": (("subst", "subst2"), (), _compose),
+    "match": (("pattern", "target"), (), _match),
+}
+_COMMON = ("sig", "output")  # every subcommand takes these
+
+# Option ``--<name>`` -> its ``add_argument`` keywords, default included.
+# ``build_parser`` adds the options from here and ``_read_plain`` reads
+# them by it, so the help cannot drift from the reader.
+_OPTIONS: dict[str, dict[str, Any]] = {
+    "algorithm": {"choices": ALGORITHMS, "default": "robinson"},
+    "trace": {"action": "store_true", "default": False, "help": "print one line per resolved conflict"},
+    "sig": {"metavar": "FILE", "default": None, "help": "signature file (name/arity per line)"},
+    "output": {"choices": ("text", "structured"), "default": "text"},
 }
 
 
@@ -346,22 +363,12 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p: argparse.ArgumentParser) -> None:
-        p.add_argument("--sig", metavar="FILE", help="signature file (name/arity per line)")
-        p.add_argument("--output", choices=("text", "structured"), default="text")
-
-    for name, (params, _) in _COMMANDS.items():
-        if name == "unify":
-            p = sub.add_parser(name, help="unify two terms")
-            p.add_argument("--algorithm", choices=ALGORITHMS, default="robinson")
-            p.add_argument("--trace", action="store_true", help="print one line per resolved conflict")
-            params = params[:2]  # algorithm and trace are the options above
-        else:
-            p = sub.add_parser(name)
+    for name, (params, own, _) in _COMMANDS.items():
+        p = sub.add_parser(name, help="unify two terms") if name == "unify" else sub.add_parser(name)
+        for option in (*own, *_COMMON):
+            p.add_argument(f"--{option}", **_OPTIONS[option])
         for param in params:
             p.add_argument(param)
-        common(p)
     return parser
 
 
@@ -371,19 +378,47 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-@functools.cache
-def _subparsers() -> dict[str, argparse.ArgumentParser]:
-    """Subcommand -> its parser, the object ``_parser()`` dispatches to."""
-    (action,) = (a for a in _parser()._actions if isinstance(a, argparse._SubParsersAction))
-    return action.choices
+def _read_plain(args: list[str]) -> argparse.Namespace | None:
+    """What ``_parser().parse_args(args)`` returns, when ``args`` has the
+    plain form; None otherwise.  Plain: a subcommand, exactly its number of
+    positionals, none starting with '-', and its options by their full
+    names, each at most once, each value a valid choice not starting with
+    '-'.  Argparse gives such a list one reading, and this is it."""
+    if not args or args[0] not in _COMMANDS:
+        return None
+    command = args[0]
+    params, own, _ = _COMMANDS[command]
+    words = iter(args[1:])
+    given: dict[str, Any] = {}
+    found: list[str] = []
+    for arg in words:
+        if arg[:1] != "-":
+            found.append(arg)
+            continue
+        option = arg[2:] if arg[:2] == "--" else ""
+        if option in given or option not in own and option not in _COMMON:
+            return None
+        spec = _OPTIONS[option]
+        if spec.get("action") == "store_true":
+            given[option] = True
+            continue
+        value = next(words, "-")  # a missing value declines as one starting with '-'
+        if value[:1] == "-" or value not in spec.get("choices", (value,)):
+            return None
+        given[option] = value
+    if len(found) != len(params):
+        return None
+    for option in (*own, *_COMMON):
+        given.setdefault(option, _OPTIONS[option]["default"])
+    return argparse.Namespace(command=command, **dict(zip(params, found)), **given)
 
 
 def _run(command: str, ns: argparse.Namespace) -> int:
     """Run a parsed command; see the module docstring for the exit codes."""
-    params, handler = _COMMANDS[command]
+    params, own, handler = _COMMANDS[command]
     try:
         sig = _load_signature(ns.sig)
-        return handler(sig, ns.output == "structured", *[getattr(ns, a) for a in params])
+        return handler(sig, ns.output == "structured", *[getattr(ns, a) for a in (*params, *own)])
     except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         # An invalid position is a ValueError, but the domain's "no".
@@ -392,21 +427,13 @@ def _run(command: str, ns: argparse.Namespace) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     args = sys.argv[1:] if argv is None else list(argv)
-    command = args[0] if args else None
-    sub = _subparsers().get(command)
-    try:
-        if sub is None:
+    ns = _read_plain(args)
+    if ns is None:
+        try:
             ns = _parser().parse_args(args)
-            command = ns.command
-        else:
-            # What the shared parser's subparsers action runs on these
-            # strings, and the error its parse_args gives for what is left.
-            ns, extras = sub.parse_known_args(args[1:])
-            if extras:
-                _parser().error(f"unrecognized arguments: {' '.join(extras)}")
-    except SystemExit as exit_:  # argparse already printed the message
-        return int(exit_.code or 0)
-    return _run(command, ns)
+        except SystemExit as exit_:  # argparse already printed the message
+            return int(exit_.code or 0)
+    return _run(ns.command, ns)
 
 
 if __name__ == "__main__":

@@ -421,14 +421,15 @@ def format_position(p: Position) -> str:
 
 
 def parse_position(text: str) -> Position:
-    """Inverse of format_position; rejects indices below 1."""
+    """Inverse of format_position; rejects indices below 1 and digits other
+    than ASCII ones."""
     text = text.strip()
     if text == "e":
         return ROOT
     parts = text.split(".")
     out = []
     for part in parts:
-        if not part.isdigit() or int(part) < 1:
+        if not (part.isascii() and part.isdigit()) or int(part) < 1:
             raise ValueError(f"not a position: {text!r} (indices are 1-based, root is 'e')")
         out.append(int(part))
     return tuple(out)

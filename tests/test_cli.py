@@ -17,6 +17,7 @@ from mgu.cli import (
     _COMMANDS,
     ALGORITHMS,
     ParseError,
+    _read_plain,
     _run,
     build_parser,
     main,
@@ -394,6 +395,14 @@ class TestSignatureFile:
             assert main(["unify", "X", "Y", "--sig", str(path)]) == 2
             assert capsys.readouterr() == ("", "error: line 2: duplicate symbol 'f'\n")
 
+    @pytest.mark.parametrize("argv", [["unify", "f(X, a)", "f(a, X)"], ["positions", "f(X, a)"]])
+    def test_empty_sig_is_not_absent(self, sig_file, capsys, monkeypatch, argv):
+        """``MGU_SIG`` stands in only for a missing ``--sig``; an empty one
+        names no file."""
+        monkeypatch.setenv("MGU_SIG", sig_file)
+        assert main([*argv, "--sig", ""]) == 2
+        assert capsys.readouterr() == ("", "error: [Errno 2] No such file or directory: ''\n")
+
     @pytest.mark.parametrize("argv", [
         ["unify", "X", "Y"], ["unify", "X", "Y", "--trace", "--output", "structured"],
         ["positions", "X"], ["subterm", "X", "e"], ["replace", "X", "e", "Y"],
@@ -591,6 +600,7 @@ GOLDEN_UTILS = [
      "error: invalid position 1.1 in f(X,g(a)): no subterm at 1.1\n"),
     (["subterm", "f(X, g(a))", "0"], 2, "", "", _NOT_A_POSITION.format("0")),
     (["subterm", "f(X", "0"], 2, "", "", "error: offset 3: unexpected end of input\n"),
+    (["subterm", "f(X, g(a))", "\u0661"], 2, "", "", _NOT_A_POSITION.format("\u0661")),
     (["replace", "f(X, g(a))", "2.1", "b"], 0, "f(X,g(b))\n", "term: f(X,g(b))\n", ""),
     (["replace", "f(X, g(a))", "3", "b"], 1, "", "", "error: invalid position 3 in f(X,g(a)): no subterm at 3\n"),
     (["replace", "f(X, g(a))", "1", "c"], 2, "", "", "error: offset 0: unknown symbol 'c'\n"),
@@ -661,9 +671,23 @@ def _main_through_the_full_parser(argv):
     return _run(ns.command, ns)
 
 
+def _golden_argvs(sig):
+    """Every argument list of ``TestGolden``, with ``sig`` for the file."""
+    return [
+        ["unify", *param.values[0], "--algorithm", algorithm, "--sig", sig]
+        for rows, algorithms in (
+            (_golden_params(GOLDEN_UNIFY), ALGORITHMS),
+            (_golden_params(GOLDEN_UNIFY_TRACE, "--trace"), ALGORITHMS[:3]),
+            (_golden_params(GOLDEN_MM_TRACE, "--trace"), ALGORITHMS[3:]),
+        )
+        for param in rows
+        for algorithm in algorithms
+    ] + [[*param.values[0], "--sig", sig] for param in _golden_params(GOLDEN_UTILS)]
+
+
 class TestDispatch:
-    """``main`` hands the arguments after a subcommand's name to that
-    subcommand's parser; every output must be the full parser's.  The
+    """``main`` reads plain argument lists itself and hands every other one
+    to the shared parser; every output must be the full parser's.  The
     argument lists are those of the ``cli`` section of ``tools/digest.py``."""
 
     def test_one_subparser_per_command(self):
@@ -672,28 +696,30 @@ class TestDispatch:
 
     def test_covers_every_golden_argv(self):
         digest = _load_digest()
-        sig = digest.SIG
-        golden = [
-            ["unify", *param.values[0], "--algorithm", algorithm, "--sig", sig]
-            for rows, algorithms in (
-                (_golden_params(GOLDEN_UNIFY), ALGORITHMS),
-                (_golden_params(GOLDEN_UNIFY_TRACE, "--trace"), ALGORITHMS[:3]),
-                (_golden_params(GOLDEN_MM_TRACE, "--trace"), ALGORITHMS[3:]),
-            )
-            for param in rows
-            for algorithm in algorithms
-        ] + [[*param.values[0], "--sig", sig] for param in _golden_params(GOLDEN_UTILS)]
         covered = {tuple(argv) for argv in digest.cli_argvs()}
-        assert [argv for argv in golden if tuple(argv) not in covered] == []
+        assert [argv for argv in _golden_argvs(digest.SIG) if tuple(argv) not in covered] == []
 
-    def test_same_bytes_as_the_full_parser(self, sig_file, capsys, monkeypatch):
-        monkeypatch.setenv("COLUMNS", "80")
+    def test_reader_agrees_with_the_full_parser(self):
+        """Where the reader takes an argument list, its namespace is the
+        full parser's; and it takes every golden one, so a reader that
+        declined everything would fail here."""
         digest = _load_digest()
         for argv in digest.cli_argvs():
-            argv = [arg.replace(digest.SIG, sig_file) for arg in argv]
-            got = (main(argv), *capsys.readouterr())
-            expected = (_main_through_the_full_parser(argv), *capsys.readouterr())
-            assert (argv, got) == (argv, expected)
+            ns = _read_plain(list(argv))
+            if ns is not None:
+                assert (argv, vars(ns)) == (argv, vars(build_parser().parse_args(list(argv))))
+        assert [argv for argv in _golden_argvs(digest.SIG) if _read_plain(argv) is None] == []
+
+    def test_same_bytes_as_the_full_parser(self, sig_file, capsys, monkeypatch):
+        """At three widths, since help and usage wrap by ``COLUMNS``."""
+        digest = _load_digest()
+        for columns in ("30", "80", "200"):
+            monkeypatch.setenv("COLUMNS", columns)
+            for argv in digest.cli_argvs():
+                argv = [arg.replace(digest.SIG, sig_file) for arg in argv]
+                got = (main(argv), *capsys.readouterr())
+                expected = (_main_through_the_full_parser(argv), *capsys.readouterr())
+                assert (columns, argv, got) == (columns, argv, expected)
 
 
 def _run_cli(*argv):

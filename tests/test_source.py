@@ -32,6 +32,13 @@ def test_no_recursion_limit_changes(path):
     assert "setrecursionlimit" not in set(names), f"{path.name} touches sys.setrecursionlimit"
 
 
+@pytest.mark.parametrize("path", SOURCES, ids=lambda path: path.name)
+def test_no_argparse_internals(path):
+    """Only argparse's public names: its private ones may change with any
+    Python release."""
+    assert "argparse._" not in path.read_text(encoding="utf-8")
+
+
 # The recursive walks allowed, each one interpreter frame per level of its
 # input: none, every walk in the engine is a loop.
 RECURSIVE_WALKS: set[str] = set()

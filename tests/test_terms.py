@@ -277,9 +277,13 @@ class TestSizeAndPositionText:
     def test_parse_position(self, text, expected):
         assert parse_position(text) == expected
 
-    @pytest.mark.parametrize("bad", ["0", "1.x", "", "-1", "1..2"])
+    # Only ASCII digits: str.isdigit also holds for '\u0661' (Arabic-Indic
+    # one), which int() reads as 1, and for '\u00b2' (superscript two),
+    # which int() rejects with a message of its own.
+    @pytest.mark.parametrize("bad", ["0", "1.x", "", "-1", "1..2", "\u0661", "\u00b2", "2.\u0661",
+                                     "\uff11", "+1", " 1.2 .3"])
     def test_parse_position_rejects(self, bad):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^not a position: "):
             parse_position(bad)
 
     def test_position_text_round_trip(self):

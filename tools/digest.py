@@ -45,7 +45,8 @@ seeded random equation sets:
   argument lists of ``cli_argvs`` (the golden inputs under every algorithm
   and output form, and argparse's edges: help, abbreviations, ``--``,
   missing, extra and unknown arguments, bad choices, an option before the
-  subcommand, unknown subcommands) and on 600 seeded ``unify`` (every
+  subcommand, unknown subcommands, lists at the edge of the plain form
+  that ``main`` reads itself) and on 600 seeded ``unify`` (every
   algorithm and form) and utility commands over the universe: the argument
   list, then the exit code, stdout and stderr.
 
@@ -288,7 +289,7 @@ _GOLDEN_PAIRS = (("f(X, g(Y))", "f(g(Z), X)"), ("f(X, a)", "f(b, X)"), ("f(X, Y)
 _GOLDEN_UTILS = (
     ("positions", "f(X, g(a))"), ("positions", "f(X, g(a)"),
     ("subterm", "f(X, g(a))", "2.1"), ("subterm", "f(X, g(a))", "1.1"), ("subterm", "f(X, g(a))", "0"),
-    ("subterm", "f(X", "0"),
+    ("subterm", "f(X", "0"), ("subterm", "f(X, g(a))", "\u0661"),
     ("replace", "f(X, g(a))", "2.1", "b"), ("replace", "f(X, g(a))", "3", "b"),
     ("replace", "f(X, g(a))", "1", "c"), ("replace", "f(X, g(a))", "x", "c"),
     ("apply", "{X -> a}", "f(X, Y)"), ("apply", "{a -> b}", "X"), ("apply", "{X -> a}", "f(X)"),
@@ -298,7 +299,8 @@ _GOLDEN_UTILS = (
 )
 # Where argparse's dispatch has edges: help, abbreviations, '--', repeated,
 # missing, extra and unknown arguments, bad choices, an option before the
-# subcommand, and subcommands that do not exist.
+# subcommand, and subcommands that do not exist; and, last, argument lists
+# at the edge of the plain form that ``mgu.cli`` reads without argparse.
 _CLI_EDGES = (
     (), ("-h",), ("--help",), ("-x",), ("--sig", SIG), ("--sig", SIG, "unify", "X", "a"),
     ("nope", "X"), ("unif", "X", "a"), ("Unify", "X", "a"), ("--", "unify", "X", "a"),
@@ -321,6 +323,10 @@ _CLI_EDGES = (
     ("unify", "X", "a", "--output", "json"), ("match", "X", "a", "--output", "json", "--sig", SIG),
     ("unify", "X", "a", "--trace=1"), ("compose", "{}", "{}", "--output"),
     ("positions", "X", "--algorithm", "mm"), ("apply", "{}", "X", "--trace"),
+    ("positions", "", "--sig", SIG), ("positions", "-", "--sig", SIG),
+    ("subterm", "f(X, g(a))", "-1", "--sig", SIG), ("unify", "-X a", "a", "--sig", SIG),
+    ("unify", "X", "a", "--sig", "--trace"),
+    ("positions", "a", "--output", "text", "--output", "structured", "--sig", SIG),
 )
 
 
