@@ -18,25 +18,27 @@ included, into its exit code and one ``error:`` line.
 exactly its positionals, none starting with '-', and its options by their
 full names, each at most once, with valid values that do not start with
 '-'.  Argparse reads such a list one way only, so the reader builds the
-same namespace from the same tables.  Any other list (help, an error, an
+same attributes from the same tables.  Any other list (help, an error, an
 abbreviation, '=', '--', a repeat, an option before the subcommand) goes
 whole through the shared parser, built on its first use and shared by every
 later call: parsing leaves a parser unchanged, and usage and help are
-formatted when they are printed.  ``build_parser`` still returns a fresh
-parser for callers that want their own.  The signature file is read on
-every call, so an edit is seen by the next one, and each distinct text of
-it is parsed once.
+formatted when they are printed.  ``argparse`` itself is imported only to
+build a parser, so a plain command line never loads it.  ``build_parser``
+still returns a fresh parser for callers that want their own.  The
+signature file is read on every call, so an edit is seen by the next one,
+and each distinct text of it is parsed once.  An empty ``MGU_SIG`` counts
+as unset, as a shell clears a variable for one command.
 """
 
 from __future__ import annotations
 
-import argparse
 import functools
 import os
 import re
 import sys
 from collections.abc import Callable
-from typing import Any
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Any
 
 from .oracle import EquationSet, solve_equations
 from .substitution import Matched, Subst, compose, match_terms
@@ -68,6 +70,9 @@ from .unify import (
     robinson_unify,
     robinson_unify_efficient,
 )
+
+if TYPE_CHECKING:
+    import argparse
 
 SIG_ENV_VAR = "MGU_SIG"
 
@@ -234,7 +239,7 @@ def _signature_of(text: str) -> Signature:
 
 def _load_signature(path: str | None) -> Signature:
     if path is None:
-        path = os.environ.get(SIG_ENV_VAR)
+        path = os.environ.get(SIG_ENV_VAR) or None
     if path is None:
         return Signature()
     with open(path, encoding="utf-8") as handle:
@@ -354,6 +359,8 @@ _OPTIONS: dict[str, dict[str, Any]] = {
 
 
 def build_parser() -> argparse.ArgumentParser:
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="mgu",
         description="First-order term unification and term/substitution utilities.",
@@ -378,12 +385,13 @@ def _parser() -> argparse.ArgumentParser:
     return build_parser()
 
 
-def _read_plain(args: list[str]) -> argparse.Namespace | None:
-    """What ``_parser().parse_args(args)`` returns, when ``args`` has the
-    plain form; None otherwise.  Plain: a subcommand, exactly its number of
-    positionals, none starting with '-', and its options by their full
-    names, each at most once, each value a valid choice not starting with
-    '-'.  Argparse gives such a list one reading, and this is it."""
+def _read_plain(args: list[str]) -> SimpleNamespace | None:
+    """The attributes of what ``_parser().parse_args(args)`` returns, when
+    ``args`` has the plain form; None otherwise.  Plain: a subcommand,
+    exactly its number of positionals, none starting with '-', and its
+    options by their full names, each at most once, each value a valid
+    choice not starting with '-'.  Argparse gives such a list one reading,
+    and this is it."""
     if not args or args[0] not in _COMMANDS:
         return None
     command = args[0]
@@ -410,10 +418,10 @@ def _read_plain(args: list[str]) -> argparse.Namespace | None:
         return None
     for option in (*own, *_COMMON):
         given.setdefault(option, _OPTIONS[option]["default"])
-    return argparse.Namespace(command=command, **dict(zip(params, found)), **given)
+    return SimpleNamespace(command=command, **dict(zip(params, found)), **given)
 
 
-def _run(command: str, ns: argparse.Namespace) -> int:
+def _run(command: str, ns: argparse.Namespace | SimpleNamespace) -> int:
     """Run a parsed command; see the module docstring for the exit codes."""
     params, own, handler = _COMMANDS[command]
     try:

@@ -5,7 +5,8 @@ symbol to exactly arity-many argument terms.  Terms are immutable and compare
 structurally; every node caches its hash, variable set and node count at
 construction so that equality tests, occurs checks and termination measures
 do not rewalk the tree.  Nodes are never interned; instantiation shares
-repeated subterms.
+repeated subterms, and the literal unification loops reuse the partner
+term's nodes for the part of a term they have resolved.
 
 Equality walks the two terms with an explicit stack, so depth costs no
 interpreter frames.  Once two distinct applications are found equal, the

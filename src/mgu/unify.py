@@ -13,7 +13,12 @@ equation-set oracle shares.
   the root, testing each argument pair for identity and cached hash before
   ``==`` (which ends at once on pairs an earlier step found equal, see
   ``mgu.terms``), and one ``_bind`` per side holding the variable, which
-  rebuilds each node above an occurrence once and shares the rest;
+  rebuilds each node above an occurrence once and shares the rest.  Above
+  the resolved conflict, a node whose instance is its partner is not
+  rebuilt: it becomes the partner node itself (``_adopt_partners``), so
+  the two terms share the resolved part as the partner's own nodes, and
+  the next descent passes it with one ``is`` test.  ``g^n(X)`` against
+  ``g^n(a)`` is one descent and one climb, with no node built;
 - ``robinson_unify_efficient`` never instantiates: after the first link
   it walks the pairs right of it once, left to right, reading every
   variable through the links made so far (the substitution applied
@@ -124,8 +129,9 @@ class TraceStep:
 
 
 TraceFn = Callable[[TraceStep], None]
-# A conflict: its position and the two distinct subterms found there.
-_Conflict = tuple[Position, Term, Term]
+# A conflict: its position, the two distinct subterms found there and the
+# two just above them (at the root, the two terms themselves).
+_Conflict = tuple[Position, Term, Term, Term, Term]
 
 
 def describe_failure(cause: FailureCause) -> str:
@@ -180,7 +186,7 @@ def first_diff(s: Term, t: Term) -> Position:
 
 
 def _conflict(s: Term, t: Term) -> _Conflict:
-    """``first_diff``'s conflict: its position and the two subterms there."""
+    """``first_diff``'s conflict, as ``_descend`` gives it."""
     if s == t:
         raise ValueError("first_diff requires distinct terms")
     return _descend(s, t)
@@ -188,9 +194,13 @@ def _conflict(s: Term, t: Term) -> _Conflict:
 
 def _descend(s: Term, t: Term) -> _Conflict:
     """``first_diff`` of two terms known to be distinct, with the two
-    subterms found there: the conflict, from the one walk that finds it."""
+    subterms found there and the pair above them: the conflict, from the
+    one walk that finds it.  The loop holds the pair above in ``s, t`` and
+    the pair below in ``a, b``, so the pair above costs nothing to keep."""
     pos: list[int] = []
-    while type(s) is App and type(t) is App and s.symbol == t.symbol:
+    a, b = s, t
+    while type(a) is App and type(b) is App and a.symbol == b.symbol:
+        s, t = a, b
         xs, ys = s.args, t.args
         if len(xs) != len(ys):
             raise _ill_formed(s, t)
@@ -198,11 +208,10 @@ def _descend(s: Term, t: Term) -> _Conflict:
             a, b = xs[i], ys[i]
             if a is not b and (a._hash != b._hash or not a == b):
                 pos.append(i + 1)
-                s, t = a, b
                 break
         else:
             raise RuntimeError(f"first_diff: {s} and {t} differ in no argument (internal bug)")
-    return tuple(pos), s, t
+    return tuple(pos), a, b, s, t
 
 
 def resolving_diff(s: Term, t: Term) -> Position:
@@ -212,7 +221,7 @@ def resolving_diff(s: Term, t: Term) -> Position:
     side is a variable the inputs were not unifiable and NotUnifiableError
     is raised.
     """
-    p, sp, tp = _conflict(s, t)
+    p, sp, tp, _, _ = _conflict(s, t)
     if not isinstance(sp, Var) and not isinstance(tp, Var):
         raise NotUnifiableError(Clash(p, sp.symbol, tp.symbol))
     return p
@@ -250,7 +259,7 @@ def _link(sp: Term, tp: Term, pos: Position) -> tuple[str, Term] | FailureCause:
 
 def link_of_frst_diff(s: Term, t: Term) -> Subst | FailureCause:
     """Total variant of sub_of_frst_diff: failure is a value, not an error."""
-    p, sp, tp = _conflict(s, t)
+    p, sp, tp, _, _ = _conflict(s, t)
     link = _link(sp, tp, p)
     return singleton(*link) if isinstance(link, tuple) else link
 
@@ -363,6 +372,42 @@ def next_position(s: Term, t: Term, p: Position) -> Position:
     return ROOT
 
 
+def _adopt_partners(s: Term, t: Term, p: Position, a: App, b: App, x: str,
+                    memo: dict[int, tuple[App, App]]) -> None:
+    """Enter in ``memo``, for ``_bind`` by the link ``x -> t|p`` that
+    resolves the conflict at ``p``, each node of ``s`` above ``p`` whose
+    instance is its partner in ``t``, with that partner: deepest first,
+    stopping at the first that is not.  ``a`` and ``b`` are the nodes of
+    ``s`` and ``t`` at the parent of ``p``.
+
+    A node ``a`` over its partner ``b`` becomes ``b`` when ``b`` holds no
+    ``x`` and every argument of ``a`` right of ``p`` is ``b``'s own object.
+    The arguments left of ``p`` were found equal on the way down, so they
+    hold no ``x`` either, and the one on ``p`` becomes its partner: the
+    link's image at the bottom, the node entered one level down above it.
+    Only ``is`` is tested, and the rest of ``p`` is walked only when the
+    parent pair passes, so a step that cannot win pays O(arity).
+    """
+    i = p[-1]
+    spine: list[tuple[App, App, int]] | None = None
+    while True:
+        if x in b.vars:
+            return
+        xs, ys = a.args, b.args
+        for j in range(i, len(xs)):
+            if xs[j] is not ys[j]:
+                return
+        memo[id(a)] = a, b
+        if spine is None:
+            spine = []
+            for k in p[:-1]:
+                spine.append((s, t, k))
+                s, t = s.args[k - 1], t.args[k - 1]
+        if not spine:
+            return
+        a, b, i = spine.pop()
+
+
 def _unify(s: Term, t: Term, trace: TraceFn | None) -> UnifyOutcome:
     """The loop of ``classic_unify`` and ``robinson_unify``: find the first
     conflict from the root, resolve it, instantiate both terms, repeat.
@@ -373,14 +418,20 @@ def _unify(s: Term, t: Term, trace: TraceFn | None) -> UnifyOutcome:
     links: dict[str, Term] = {}
     vars_now = _measure(s, t) if trace is not None else 0
     while not s == t:  # App defines no __ne__: ``!=`` would dispatch twice
-        p, sp, tp = _descend(s, t)
+        p, sp, tp, ps, pt = _descend(s, t)
         link = _link(sp, tp, p)
         if not isinstance(link, tuple):
             return Failed(link)
         # Both terms instantiated by the link, with one memo, so a subterm
-        # the two share is instantiated once.
+        # the two share is instantiated once, and the nodes above ``p``
+        # that become their partners are those partners.
         x, u = link
         memo: dict = {}
+        if p:
+            if type(sp) is Var:
+                _adopt_partners(s, t, p, ps, pt, x, memo)
+            else:
+                _adopt_partners(t, s, p, pt, ps, x, memo)
         s, t = _bind(s, x, u, memo), _bind(t, x, u, memo)
         links[x] = u
         if trace is not None:
@@ -418,7 +469,7 @@ def robinson_unify_efficient(s: Term, t: Term, trace: TraceFn | None = None) -> 
     """
     if s == t:
         return Unified(_resolved({}), 0)
-    p, sp, tp = _descend(s, t)
+    p, sp, tp, _, _ = _descend(s, t)
     link = _link(sp, tp, p)
     if not isinstance(link, tuple):
         return Failed(link)

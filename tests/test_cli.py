@@ -403,6 +403,17 @@ class TestSignatureFile:
         assert main([*argv, "--sig", ""]) == 2
         assert capsys.readouterr() == ("", "error: [Errno 2] No such file or directory: ''\n")
 
+    @pytest.mark.parametrize("argv", [["unify", "X", "Y"], ["positions", "f(X, Y)"]])
+    def test_empty_env_var_is_unset(self, capsys, monkeypatch, argv):
+        """``MGU_SIG=`` before a command clears the variable for it: the
+        signature is empty, as with no ``MGU_SIG`` at all."""
+        monkeypatch.setenv("MGU_SIG", "")
+        code = main(argv)
+        out = capsys.readouterr()
+        monkeypatch.delenv("MGU_SIG")
+        assert (code, *out) == (main(argv), *capsys.readouterr())
+        assert code == (0 if argv[0] == "unify" else 2)
+
     @pytest.mark.parametrize("argv", [
         ["unify", "X", "Y"], ["unify", "X", "Y", "--trace", "--output", "structured"],
         ["positions", "X"], ["subterm", "X", "e"], ["replace", "X", "e", "Y"],
@@ -561,6 +572,27 @@ def test_cold_entry_point(sig_file):
         env=env, capture_output=True, text=True, timeout=60,
     )
     assert (proc.returncode, proc.stdout, proc.stderr) == (0, "{X -> g(Z), Y -> Z}\n", "")
+
+
+_ARGPARSE_LOADED = """
+import sys
+from mgu.cli import main
+
+plain = main(["unify", "f(X, g(Y))", "f(g(Z), X)", "--sig", sys.argv[1], "--trace"])
+before = "argparse" in sys.modules
+short = main(["unify", "X"])
+print(plain, before, short, "argparse" in sys.modules)
+"""
+
+
+def test_plain_command_line_loads_no_argparse(sig_file):
+    """A plain command line through ``main`` never builds the parser, so
+    ``argparse`` is not even imported; one the parser must read loads it."""
+    env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+    proc = subprocess.run([sys.executable, "-c", _ARGPARSE_LOADED, sig_file], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert (proc.returncode, proc.stdout.splitlines()[-1]) == (0, "0 False 2 True")
+    assert "the following arguments are required: t" in proc.stderr
 
 
 # Golden CLI bytes, so that no change to parsing or dispatch alters an output:

@@ -845,3 +845,58 @@ def test_one_binding_walk_takes_a_100000_deep_chain():
     assert out == expected
     assert out.size == n + 3
     assert _bind(t, "Z", SIG.app("a"), {}) is t
+
+
+@st.composite
+def dag_pairs(draw):
+    """Two terms over one pool of nodes, each built over earlier ones, so
+    that each term repeats nodes and the two share some.  Each side is a
+    pool node or ``h`` of three; the other is another such term, an
+    instance (``Subst.apply`` keeps every node that holds no bound
+    variable) or the term with one pool node put in at one of its
+    positions (``replace_at`` keeps every node off that position).  Pool
+    nodes are kept to 40 nodes as trees."""
+    pool = [Var(n) for n in VARS5] + [SIG3.app("a"), SIG3.app("b")]
+    for _ in range(draw(st.integers(1, 12))):
+        symbol = draw(st.sampled_from(("g", "f", "h")))
+        args = [draw(st.sampled_from(pool)) for _ in range(SIG3.arity(symbol))]
+        node = SIG3.app(symbol, *args)
+        if node.size <= 40:
+            pool.append(node)
+    nodes = st.sampled_from(pool)
+    sides = st.one_of(nodes, st.builds(lambda *args: SIG3.app("h", *args), nodes, nodes, nodes))
+    s = draw(sides)
+    kind = draw(st.sampled_from(("other", "instance", "replaced")))
+    if kind == "instance" and s.vars:
+        small = st.sampled_from([u for u in pool if u.size <= 8])
+        domain = st.sampled_from(sorted(s.vars))
+        t = Subst(draw(st.dictionaries(domain, small, min_size=1, max_size=3))).apply(s)
+    elif kind == "replaced":
+        ps = positions_of(s)
+        p = ps[draw(st.integers(0, len(ps) - 1))]
+        old = subterm_at(s, p)
+        t = replace_at(s, p, draw(nodes.filter(lambda u: u is not old)))
+    else:
+        t = draw(sides)
+    return (s, t) if draw(st.booleans()) else (t, s)
+
+
+def _traced_lines(algorithm, s, t):
+    out, steps = _run_traced(algorithm, s, t)
+    return repr(out), [format_trace_step(ts) for ts in steps]
+
+
+@settings(max_examples=300, deadline=None)
+@given(dag_pairs())
+@example((SIG3.app("f", SIG3.app("g", Var("X")), Var("Y")),
+          SIG3.app("f", SIG3.app("g", SIG3.app("a")), SIG3.app("b"))))
+def test_literal_steps_on_shared_nodes_are_those_on_trees(pair):
+    """On pairs that share nodes within and across the two sides, classic
+    and robinson give the efficient variant's outcome and trace lines, also
+    on copies of the two terms that share no node; the oracle agrees."""
+    s, t = pair
+    reference = _traced_lines(robinson_unify_efficient, s, t)
+    for algorithm in (classic_unify, robinson_unify):
+        assert _traced_lines(algorithm, s, t) == reference
+        assert _traced_lines(algorithm, _copy(s), _copy(t)) == reference
+    assert solve_equations(EquationSet([(s, t)])) == robinson_unify_efficient(s, t)

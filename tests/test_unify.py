@@ -390,6 +390,70 @@ class TestDeepChains:
         assert len(out.cause.position) == self.N and set(out.cause.position) == {1}
 
 
+def _traced(algorithm, s, t):
+    steps = []
+    out = algorithm(s, t, trace=steps.append)
+    return out, [format_trace_step(ts) for ts in steps]
+
+
+def _built(monkeypatch, run, *args):
+    """``run(*args)`` and the number of ``App`` nodes built meanwhile."""
+    count = [0]
+    init = App.__init__
+
+    def counted(self, symbol, args=()):
+        count[0] += 1
+        init(self, symbol, args)
+
+    with monkeypatch.context() as m:
+        m.setattr(App, "__init__", counted)
+        out = run(*args)
+    return out, count[0]
+
+
+class TestPartnerNodes:
+    """After each link the literal loops take, above the resolved conflict,
+    the partner's own nodes wherever the instance is that partner, and stop
+    climbing at the first node where it is not."""
+
+    @pytest.mark.parametrize("swap", [False, True], ids=["left", "right"])
+    @pytest.mark.parametrize("algorithm", ALGORITHMS[:2], ids=ALL_FOUR_IDS[:2])
+    def test_deep_chain_builds_no_node(self, monkeypatch, algorithm, swap):
+        s, t = chain(2_000, X), chain(2_000, a)
+        out, built = _built(monkeypatch, algorithm, *((t, s) if swap else (s, t)))
+        assert (str(out.mgu), out.steps, built) == ("{X -> a}", 1, 0)
+
+    # (s, t, App nodes a literal loop builds): one pair for each reason the
+    # climb stops, and pairs where it reaches the root.  Where it stops at
+    # the root in the first step, the second step's climb reaches the root.
+    # Each ``g(a)`` below is a node of its own, so the two are equal but
+    # not one object.
+    PAIRS = {
+        "partner-holds-x": (f(X, X), f(X, a), 2),
+        "right-argument-differs": (f(X, Y), f(a, b), 1),
+        "right-argument-differs-above": (f(g(X), Y), f(g(a), b), 1),
+        "right-argument-equal-not-same": (f(X, g(a)), f(a, g(a)), 1),
+        "conflict-at-root": (X, f(Y, a), 0),
+        "variable-to-variable": (g(f(X, a)), g(f(Y, a)), 0),
+        "x-on-t": (g(f(a, b)), g(f(X, b)), 0),
+        "x-on-t-partner-holds-x": (f(g(a), X), f(g(X), a), 2),
+    }
+
+    @pytest.mark.parametrize("swap", [False, True], ids=["as-given", "swapped"])
+    @pytest.mark.parametrize("pair", PAIRS.values(), ids=PAIRS.keys())
+    @pytest.mark.parametrize("algorithm", ALGORITHMS[:2], ids=ALL_FOUR_IDS[:2])
+    def test_climb_stops_where_the_instance_is_not_the_partner(self, monkeypatch, algorithm, pair,
+                                                               swap):
+        s, t, nodes = pair
+        if swap:
+            s, t = t, s
+        reference = _traced(robinson_unify_efficient, s, t)
+        (out, lines), built = _built(monkeypatch, _traced, algorithm, s, t)
+        assert (repr(out), lines) == (repr(reference[0]), reference[1])
+        assert out == reference[0] == solve_pair(s, t)
+        assert built == nodes
+
+
 # The shared family at n = 64 through all four algorithms: resolving it
 # builds terms of about 2**65 nodes as trees, 65 as DAGs.  Run in a
 # subprocess, so that an exponential walk fails on the timeout instead of
