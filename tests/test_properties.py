@@ -437,6 +437,22 @@ def test_enumerated_unifiers_checks_only_unifiers_on_universe_pairs(monkeypatch)
         assert counted.calls - before == len(got), (s, t)
 
 
+def test_enumerated_unifiers_leaves_its_offset_tables_as_built():
+    """The offset tables are plain dicts cached per domain: after 2,000
+    seeded universe pairs, each cached table equals one built afresh."""
+    universe = enum_terms(EnumBound(2, ("X", "Y"), SIG))
+    bound = EnumBound(1, ("X", "Y"), SIG)
+    rng = random.Random(21)
+    domains = set()
+    for _ in range(2000):
+        s, t = rng.choice(universe), rng.choice(universe)
+        if enumerated_unifiers(s, t, bound):
+            domains.add(tuple(sorted(s.vars | t.vars)))
+    assert domains == {(), ("X",), ("Y",), ("X", "Y")}
+    for domain in domains:
+        assert oracle._offsets(domain, bound) == oracle._offsets.__wrapped__(domain, bound)
+
+
 @settings(max_examples=150, deadline=None)
 @given(pairs_over_up_to_three_vars())
 def test_enumerated_unifiers_checks_only_unifiers_over_three_variables(pair):
