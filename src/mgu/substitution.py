@@ -92,8 +92,6 @@ class Subst:
         too, and a term whose tree is exponentially larger than its
         distinct nodes costs only those nodes.
         """
-        if t.vars.isdisjoint(self._dom):
-            return t
         return _instantiate(t, self._map, self._dom, {})
 
     def applied_equal(self, s: Term, t: Term) -> bool:
@@ -108,7 +106,8 @@ class Subst:
         """
         table, dom = self._map, self._dom
         # Two ``apply`` calls and ``==`` in place of this walk cost ``certify``
-        # 30% (13,850 to 9,640 ops/s; 2 vCPUs, CPython 3.11.7).
+        # 38% of its ops/s (13,827 to 8,612) and nearly double its tail,
+        # beyond the benchmark's 25% bound (2 vCPUs, CPython 3.11.7).
         # A pending pair (done, u, v) asks whether u equals v instantiated,
         # u being instantiated already when ``done`` and to be otherwise.
         todo: list[tuple[bool, Term, Term]] = [(False, s, t)]
@@ -161,8 +160,8 @@ class Subst:
 def _instantiate(
     t: Term, table: Mapping[str, Term], dom: AbstractSet[str], memo: dict[int, tuple[App, App]]
 ) -> Term:
-    """``t``, which has a variable in ``dom``, with each such variable replaced
-    by its image in ``table``.
+    """``t`` with each variable in ``dom`` replaced by its image in
+    ``table``; ``t`` itself if it has none.
 
     ``memo`` maps the id of every application node already instantiated in
     this pass to the node and its image.  Holding the node keeps its id from
@@ -172,7 +171,9 @@ def _instantiate(
     iterator over its remaining arguments and the images of the arguments
     so far, so depth costs no interpreter frames.
     """
-    if isinstance(t, Var):
+    if dom.isdisjoint(t.vars):
+        return t
+    if type(t) is Var:
         return table[t.name]
     hit = memo.get(id(t))
     if hit is not None:
@@ -185,41 +186,6 @@ def _instantiate(
                 args.append(a)
             elif type(a) is Var:
                 args.append(table[a.name])
-            elif id(a) in memo:
-                args.append(memo[id(a)][1])
-            else:
-                frames.append((node, rest, args))
-                node, rest, args = a, iter(a.args), []
-                break
-        else:
-            out = App(node.symbol, args)
-            memo[id(node)] = node, out
-            if not frames:
-                return out
-            node, rest, args = frames.pop()
-            args.append(out)
-
-
-# Kept apart from ``_instantiate``: folding the two cost ``sweep`` 2.5-4%
-# and ``stress`` 1-3% (four variants, 2 vCPUs, CPython 3.11.7).
-def _bind(t: Term, x: str, u: Term, memo: dict[int, tuple[App, App]]) -> Term:
-    """``_instantiate`` with the one-entry table ``{x: u}``, frames, memo and
-    sharing alike, testing ``x in a.vars``; ``t`` itself if it lacks ``x``."""
-    if x not in t.vars:
-        return t
-    if type(t) is Var:
-        return u
-    hit = memo.get(id(t))
-    if hit is not None:
-        return hit[1]
-    frames: list[tuple[App, Iterator[Term], list[Term]]] = []
-    node, rest, args = t, iter(t.args), []
-    while True:
-        for a in rest:
-            if x not in a.vars:
-                args.append(a)
-            elif type(a) is Var:
-                args.append(u)
             elif id(a) in memo:
                 args.append(memo[id(a)][1])
             else:

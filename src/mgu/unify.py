@@ -12,28 +12,28 @@ equation-set oracle shares.
   are the same, so one loop serves both.  A step costs one descent from
   the root, testing each argument pair for identity and cached hash before
   ``==`` (which ends at once on pairs an earlier step found equal, see
-  ``mgu.terms``), and one ``_bind`` per side holding the variable, which
-  rebuilds each node above an occurrence once and shares the rest.  Above
-  the resolved conflict, a node whose instance is its partner is not
+  ``mgu.terms``), and one ``_instantiate`` per side holding the variable,
+  which rebuilds each node above an occurrence once and shares the rest.
+  Above the resolved conflict, a node whose instance is its partner is not
   rebuilt: it becomes the partner node itself (``_adopt_partners``), so
   the two terms share the resolved part as the partner's own nodes, and
   the next descent passes it with one ``is`` test.  ``g^n(X)`` against
   ``g^n(a)`` is one descent and one climb, with no node built;
-- ``robinson_unify_efficient`` never instantiates: after the first link
-  it walks the pairs right of it once, left to right, reading every
-  variable through the links made so far (the substitution applied
-  lazily, after Corbin & Bidoit).  A pair of applications expanded once
-  is skipped when met again, so shared subterms cost their distinct pairs,
-  and the occurs check follows variable names through the bound images.
+- ``robinson_unify_efficient`` never instantiates: it walks the pairs
+  once, from the root, left to right, reading every variable through the
+  links made so far (the substitution applied lazily, after Corbin &
+  Bidoit).  A pair of applications expanded once is skipped when met
+  again, so shared subterms cost their distinct pairs, and the occurs
+  check follows variable names through the bound images.
   Only what a result shows is instantiated: ``OccursCheck.term`` and a
   traced binding.  Resolving conflicts left to right never creates one
   left of a resolved one, so the conflicts, steps, positions and causes
   are those of ``robinson_unify``.
 
 Every walk is iterative, so depth costs no interpreter frames, and a
-position is built only where one is reported.  Most calls fail at their
-first conflict, which every algorithm finds with one descent that hands
-over the two subterms it found different.  ``first_diff`` and
+position is built only where one is reported.  The literal algorithms
+find each conflict with one descent that hands over the two subterms it
+found different.  ``first_diff`` and
 ``next_position`` stay the public forms of the paper's scans.
 
 Two applications of one symbol with different argument counts, which
@@ -50,7 +50,7 @@ from __future__ import annotations
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 
-from .substitution import Subst, _bind, _instantiate, more_general, singleton
+from .substitution import Subst, _instantiate, more_general, singleton
 from .terms import (
     App,
     Position,
@@ -319,7 +319,7 @@ def _image(u: Term, images: dict[str, Term]) -> Term:
     memo: dict = {}
     held = images.keys() & u.vars
     _resolve(images, held, table, memo)
-    return _instantiate(u, table, held, memo) if held else u
+    return _instantiate(u, table, held, memo)
 
 
 def _reaches(x: str, names: frozenset[str], images: dict[str, Term]) -> bool:
@@ -375,7 +375,7 @@ def next_position(s: Term, t: Term, p: Position) -> Position:
 
 def _adopt_partners(s: Term, t: Term, p: Position, a: App, b: App, x: str,
                     memo: dict[int, tuple[App, App]]) -> None:
-    """Enter in ``memo``, for ``_bind`` by the link ``x -> t|p`` that
+    """Enter in ``memo``, for ``_instantiate`` by the link ``x -> t|p`` that
     resolves the conflict at ``p``, each node of ``s`` above ``p`` whose
     instance is its partner in ``t``, with that partner: deepest first,
     stopping at the first that is not.  ``a`` and ``b`` are the nodes of
@@ -433,7 +433,8 @@ def _unify(s: Term, t: Term, trace: TraceFn | None) -> UnifyOutcome:
                 _adopt_partners(s, t, p, ps, pt, x, memo)
             else:
                 _adopt_partners(t, s, p, pt, ps, x, memo)
-        s, t = _bind(s, x, u, memo), _bind(t, x, u, memo)
+        table, dom = {x: u}, {x}
+        s, t = _instantiate(s, table, dom, memo), _instantiate(t, table, dom, memo)
         links[x] = u
         if trace is not None:
             vars_before, vars_now = vars_now, _measure(s, t)
@@ -462,55 +463,34 @@ def robinson_unify_efficient(s: Term, t: Term, trace: TraceFn | None = None) -> 
     the links made so far instead of instantiating the terms and scanning
     them again.  Same conflicts, steps, causes, trace and substitution.
 
-    The first conflict is found and resolved as in ``robinson_unify``, so a
-    call that fails there, as most do, sets up nothing else.  The walk then
-    starts from the right siblings along its position, deepest first.  A
-    bound variable reads as its image, and a pair of applications already
-    expanded is skipped: it has been made equal, and stays so.
+    The walk starts at the root.  A bound variable reads as its image, and a
+    pair of applications already expanded is skipped: it has been made
+    equal, and stays so.
     """
-    # Kept, not folded into the walk from the root: the walk would raise
-    # ``sweep``'s p50 from 0.0119 to 0.0129 ms (+8%; 2 vCPUs, CPython 3.11.7).
-    if s == t:
-        return Unified(_resolved({}), 0)
-    p, sp, tp, _, _ = _descend(s, t)
-    link = _link(sp, tp, p)
-    if not isinstance(link, tuple):
-        return Failed(link)
-    bound = dict([link])
+    bound: dict[str, Term] = {}
     if trace is not None:
-        vars_now = _measure(s, t) - 1
-        trace(TraceStep(1, p, link, vars_now + 1, vars_now))
-    # A pending pair is held with the link chain of its parent and its
-    # index there, so a pair that needs no position builds no link.
-    todo: list[tuple[Term, Term, _Link, int]] = []
-    chain: _Link = None
-    for i in p:
-        xs, ys = s.args, t.args
-        for j in range(len(xs), i, -1):
-            todo.append((xs[j - 1], ys[j - 1], chain, j))
-        chain = (chain, i)
-        s, t = xs[i - 1], ys[i - 1]
+        vars_now = _measure(s, t)
+    # A pending pair is held with the link chain of its position.
+    todo: list[tuple[Term, Term, _Link]] = [(s, t, None)]
     bound_names = bound.keys()
     # The application pairs expanded so far, by id, holding the nodes so
     # that no id is reused while the walk runs.
     seen: dict[tuple[int, int], tuple[App, App]] = {}
     while todo:
-        s, t, chain, i = todo.pop()
+        s, t, link = todo.pop()
         while type(s) is Var and s.name in bound:
             s = bound[s.name]
         while type(t) is Var and t.name in bound:
             t = bound[t.name]
-        if s is t:
+        if s is t or s._hash == t._hash and s == t:
             continue
         if type(s) is Var:
-            if type(t) is Var and s.name == t.name:
-                continue
             x, u = s.name, t
         elif type(t) is Var:
             x, u = t.name, s
         else:
             if s.symbol != t.symbol:
-                return Failed(Clash(_position((chain, i)), s.symbol, t.symbol))
+                return Failed(Clash(_position(link), s.symbol, t.symbol))
             key = id(s), id(t)
             if key in seen:
                 continue
@@ -518,18 +498,17 @@ def robinson_unify_efficient(s: Term, t: Term, trace: TraceFn | None = None) -> 
             if len(xs) != len(ys):
                 raise _ill_formed(s, t)
             seen[key] = s, t
-            chain = (chain, i)
             for j in range(len(xs), 0, -1):
-                todo.append((xs[j - 1], ys[j - 1], chain, j))
+                todo.append((xs[j - 1], ys[j - 1], (link, j)))
             continue
         names = u.vars
         if x in names or not bound_names.isdisjoint(names) and _reaches(x, names, bound):
-            return Failed(OccursCheck(x, _image(u, bound), _position((chain, i))))
+            return Failed(OccursCheck(x, _image(u, bound), _position(link)))
         bound[x] = u
         if trace is not None:
             vars_now -= 1
             step = (x, _image(u, bound))
-            trace(TraceStep(len(bound), _position((chain, i)), step, vars_now + 1, vars_now))
+            trace(TraceStep(len(bound), _position(link), step, vars_now + 1, vars_now))
     return Unified(_resolved(bound), len(bound))
 
 

@@ -1,5 +1,6 @@
 """Randomized checks of the algebraic laws the library is built around."""
 
+import itertools
 import random
 
 import pytest
@@ -17,7 +18,7 @@ from mgu.oracle import (
 from mgu.substitution import (
     Matched,
     Subst,
-    _bind,
+    _instantiate,
     compose,
     identity,
     match_terms,
@@ -437,18 +438,22 @@ def test_enumerated_unifiers_checks_only_unifiers_on_universe_pairs(monkeypatch)
         assert counted.calls - before == len(got), (s, t)
 
 
-def test_enumerated_unifiers_leaves_its_offset_tables_as_built():
+@pytest.mark.parametrize("variables, height", [(("X", "Y"), 1), (("X", "Y"), 2), (("X", "Y", "Z"), 1)])
+def test_enumerated_unifiers_leaves_its_offset_tables_as_built(variables, height):
     """The offset tables are plain dicts cached per domain: after 2,000
-    seeded universe pairs, each cached table equals one built afresh."""
-    universe = enum_terms(EnumBound(2, ("X", "Y"), SIG))
-    bound = EnumBound(1, ("X", "Y"), SIG)
+    seeded pairs of terms of height 2, with a unifier in every domain the
+    variables allow, each cached table equals one built afresh."""
+    universe = enum_terms(EnumBound(2, variables, SIG))
+    bound = EnumBound(height, variables, SIG)
     rng = random.Random(21)
     domains = set()
     for _ in range(2000):
         s, t = rng.choice(universe), rng.choice(universe)
         if enumerated_unifiers(s, t, bound):
             domains.add(tuple(sorted(s.vars | t.vars)))
-    assert domains == {(), ("X",), ("Y",), ("X", "Y")}
+    assert {d for d in domains if d} == {
+        d for n in range(1, len(variables) + 1) for d in itertools.combinations(variables, n)
+    }
     for domain in domains:
         assert oracle._offsets(domain, bound) == oracle._offsets.__wrapped__(domain, bound)
 
@@ -841,11 +846,12 @@ def _shared_nodes_stay_shared(t, out):
 @settings(max_examples=300, deadline=None)
 @given(comparable_pairs(), st.sampled_from(VARS5), _images5)
 def test_one_binding_walk_is_apply_of_the_one_binding_substitution(pair, x, u):
-    """``_bind`` is ``Subst({x: u}).apply``, with one memo across terms."""
+    """``_instantiate`` with the one-entry table ``{x: u}`` is
+    ``Subst({x: u}).apply``, with one memo across terms."""
     s, t = pair
     memo = {}
     for v in (s, t, SIG3.app("h", s, t, s)):
-        out = _bind(v, x, u, memo)
+        out = _instantiate(v, {x: u}, {x}, memo)
         assert out == Subst({x: u}).apply(v)
         if x not in v.vars:
             assert out is v
@@ -857,10 +863,10 @@ def test_one_binding_walk_takes_a_100000_deep_chain():
     t, expected = Var("X"), SIG.app("f", Var("Y"), SIG.app("a"))
     for _ in range(n):
         t, expected = SIG.app("g", t), SIG.app("g", expected)
-    out = _bind(t, "X", SIG.app("f", Var("Y"), SIG.app("a")), {})
+    out = _instantiate(t, {"X": SIG.app("f", Var("Y"), SIG.app("a"))}, {"X"}, {})
     assert out == expected
     assert out.size == n + 3
-    assert _bind(t, "Z", SIG.app("a"), {}) is t
+    assert _instantiate(t, {"Z": SIG.app("a")}, {"Z"}, {}) is t
 
 
 @st.composite
