@@ -12,6 +12,10 @@ The eliminations are kept in order and resolved into the mgu once, back
 to front, as the paper algorithms' links are, so no solved binding is
 ever rewritten.  The pending equations are a list stack, each with the
 link chain (``mgu.terms``) of its position in the equation it came from.
+Decomposing a pair pushes the argument pairs right of the first and goes
+on with the first in place, so only the pairs left for later are entries
+of the stack, and a pair is dropped when it is one object, or equal by
+cached hash and ``==``.
 ``enum_terms`` and ``enum_substitutions`` enumerate every term and every
 substitution under a bound, and ``enumerated_unifiers`` picks out of the
 latter the actual unifiers of a pair; together they give finite, exact
@@ -104,11 +108,13 @@ def solve_equations(eqs: EquationSet) -> UnifyOutcome:
     eliminations, in order, are a triangular solved form, resolved back to
     front into the mgu at the end.  Reported failure positions are relative
     to the originating equation's terms as instantiated at failure time.
-    Applications of one symbol with different argument counts are
+    Each decomposition goes on with the first argument pair in place and
+    leaves only the pairs right of it pending.  Applications of one symbol with different argument counts are
     ill-formed: ValueError, as in ``first_diff``.
     """
     # A stack: its last entry is the next equation processed, a list
-    # [s, t, link], emptied when popped.  ``holders``, made at the first
+    # [s, t, link], emptied when popped; the first argument pair of a
+    # decomposition is never an entry.  ``holders``, made at the first
     # listing, lists the entries of ``work[:listed]`` under each variable
     # they hold, and each of them an elimination rewrites under the
     # variables it gains.  An elimination scans the entries above
@@ -124,51 +130,53 @@ def solve_equations(eqs: EquationSet) -> UnifyOutcome:
         entry.clear()
         if len(work) < listed:
             listed = len(work)
-        if s == t:
-            continue
-        if type(s) is Var:
-            x, u = s.name, t
-        elif type(t) is Var:
-            x, u = t.name, s
-        else:  # two applications
-            if s.symbol != t.symbol:
-                return Failed(Clash(_position(link), s.symbol, t.symbol))
-            xs, ys = s.args, t.args
-            if len(xs) != len(ys):
-                raise _ill_formed(s, t)
-            for i in range(len(xs), 0, -1):
-                work.append([xs[i - 1], ys[i - 1], (link, i)])
-            continue
-        if x in u.vars:
-            return Failed(OccursCheck(x, u, _position(link)))
-        # Eliminate x := u from the pending equations that hold x, with one
-        # memo for every term rewritten; the others are kept.
-        if len(work) - listed > _UNLISTED:
-            if holders is None:
-                holders = defaultdict(list)
+        # Down the first argument pairs in place, the others pushed.
+        while not (s is t or s._hash == t._hash and s == t):
+            if type(s) is Var:
+                x, u = s.name, t
+            elif type(t) is Var:
+                x, u = t.name, s
+            else:  # two applications
+                if s.symbol != t.symbol:
+                    return Failed(Clash(_position(link), s.symbol, t.symbol))
+                xs, ys = s.args, t.args
+                if len(xs) != len(ys):
+                    raise _ill_formed(s, t)
+                for i in range(len(xs), 1, -1):
+                    work.append([xs[i - 1], ys[i - 1], (link, i)])
+                s, t, link = xs[0], ys[0], (link, 1)
+                continue
+            if x in u.vars:
+                return Failed(OccursCheck(x, u, _position(link)))
+            # Eliminate x := u from the pending equations that hold x, with
+            # one memo for every term rewritten; the others are kept.
+            if len(work) - listed > _UNLISTED:
+                if holders is None:
+                    holders = defaultdict(list)
+                for pending in work[listed:]:
+                    for y in itertools.chain(pending[0].vars, pending[1].vars):
+                        holders[y].append(pending)
+                listed = len(work)
+            memo: dict = {}
+            table, dom = {x: u}, {x}
             for pending in work[listed:]:
-                for y in itertools.chain(pending[0].vars, pending[1].vars):
-                    holders[y].append(pending)
-            listed = len(work)
-        memo: dict = {}
-        table, dom = {x: u}, {x}
-        for pending in work[listed:]:
-            a, b, _ = pending
-            if x in a.vars or x in b.vars:
-                pending[0] = _instantiate(a, table, dom, memo)
-                pending[1] = _instantiate(b, table, dom, memo)
-        if holders is not None:
-            for pending in holders.pop(x, ()):
-                if not pending:  # popped already
-                    continue
                 a, b, _ = pending
-                if x not in a.vars and x not in b.vars:  # rewritten already
-                    continue
-                pending[0] = _instantiate(a, table, dom, memo)
-                pending[1] = _instantiate(b, table, dom, memo)
-                for y in u.vars:
-                    holders[y].append(pending)
-        solved[x] = u
+                if x in a.vars or x in b.vars:
+                    pending[0] = _instantiate(a, table, dom, memo)
+                    pending[1] = _instantiate(b, table, dom, memo)
+            if holders is not None:
+                for pending in holders.pop(x, ()):
+                    if not pending:  # popped already
+                        continue
+                    a, b, _ = pending
+                    if x not in a.vars and x not in b.vars:  # rewritten already
+                        continue
+                    pending[0] = _instantiate(a, table, dom, memo)
+                    pending[1] = _instantiate(b, table, dom, memo)
+                    for y in u.vars:
+                        holders[y].append(pending)
+            solved[x] = u
+            break
     return Unified(_resolved(solved), len(solved))
 
 
@@ -419,22 +427,29 @@ def _choices(c: tuple, images: Mapping[str, Term]):
 def _faced_terms(s: Term, t: Term, faced: dict[str, list[Term]]) -> bool:
     """Walk the pair like ``Subst.applied_equal`` with every variable open,
     recording under each variable the terms its occurrences face, left to
-    right; one loop over a stack of pairs, so depth costs no frames.
+    right; one loop over a stack of pairs, so depth costs no frames, that
+    goes on with each first argument pair in place and pushes the rest.
 
-    False at a head-symbol clash, which no substitution can undo.
+    False at a head-symbol clash, or at one symbol with two argument
+    counts, which no substitution can undo.
     """
     pairs = [(s, t)]
     while pairs:
         s, t = pairs.pop()
-        if s is t:
-            continue
-        if isinstance(s, Var):
-            faced.setdefault(s.name, []).append(t)
-        elif isinstance(t, Var):
-            faced.setdefault(t.name, []).append(s)
-        elif s.symbol != t.symbol:
-            return False
-        else:
-            pairs.extend(reversed(tuple(zip(s.args, t.args))))
+        while s is not t:  # down the first argument pairs, in place
+            if type(s) is Var:
+                faced.setdefault(s.name, []).append(t)
+                break
+            if type(t) is Var:
+                faced.setdefault(t.name, []).append(s)
+                break
+            xs, ys = s.args, t.args
+            if s.symbol != t.symbol or len(xs) != len(ys):
+                return False
+            if not xs:
+                break
+            for i in range(len(xs) - 1, 0, -1):
+                pairs.append((xs[i], ys[i]))
+            s, t = xs[0], ys[0]
     return True
 

@@ -99,10 +99,12 @@ class Subst:
 
         Same answer as ``self.apply(s) == self.apply(t)``, but compares the
         instantiated terms without building them.  The walk keeps its own
-        stack, so depth costs no interpreter frames, and compares a pair of
-        nodes of more than ``_SMALL`` nodes once however often the terms
-        share it, so shared chains cost their distinct nodes, not their
-        trees.
+        stack, so depth costs no interpreter frames; it goes on with each
+        pair's first arguments in place and pushes only the pairs right of
+        them.  It compares a pair of nodes of more than ``_SMALL`` nodes
+        once however often the terms share it, so shared chains cost their
+        distinct nodes, not their trees.  One symbol at two argument counts
+        is never equal.
         """
         table, dom = self._map, self._dom
         # Two ``apply`` calls and ``==`` in place of this walk cost ``certify``
@@ -116,35 +118,40 @@ class Subst:
         seen: set[tuple[bool, int, int]] | None = None
         while todo:
             done, u, v = todo.pop()
-            if not done:
-                if u is v:
-                    continue
-                if type(u) is Var:
-                    u, done = table.get(u.name, u), True
-                elif type(v) is Var:
-                    u, v, done = table.get(v.name, v), u, True
-            if done:
-                if type(v) is Var:
-                    if not u == table.get(v.name, v):
+            while True:  # down the first argument pairs, in place
+                if not done:
+                    if u is v:
+                        break
+                    if type(u) is Var:
+                        u, done = table.get(u.name, u), True
+                    elif type(v) is Var:
+                        u, v, done = table.get(v.name, v), u, True
+                if done:
+                    if type(v) is Var:
+                        if not u == table.get(v.name, v):
+                            return False
+                        break
+                    if v.vars.isdisjoint(dom):
+                        if not u == v:
+                            return False
+                        break
+                    if type(u) is not App:
                         return False
-                    continue
-                if v.vars.isdisjoint(dom):
-                    if not u == v:
-                        return False
-                    continue
-                if type(u) is not App:
+                xs, ys = u.args, v.args
+                if u.symbol != v.symbol or len(xs) != len(ys):
                     return False
-            if u.symbol != v.symbol or len(u.args) != len(v.args):
-                return False
-            if u.size > _SMALL:
-                key = (done, id(u), id(v))
-                if seen is None:
-                    seen = set()
-                elif key in seen:
-                    continue
-                seen.add(key)
-            for a, b in zip(u.args, v.args):
-                todo.append((done, a, b))
+                if not xs:
+                    break
+                if u.size > _SMALL:
+                    key = (done, id(u), id(v))
+                    if seen is None:
+                        seen = set()
+                    elif key in seen:
+                        break
+                    seen.add(key)
+                for j in range(len(xs) - 1, 0, -1):
+                    todo.append((done, xs[j], ys[j]))
+                u, v = xs[0], ys[0]
         return True
 
     def restrict(self, names: Iterable[str]) -> Subst:
@@ -260,7 +267,8 @@ def _match_into(pattern: Term, target: Term, env: dict[str, Term]) -> NoMatch | 
     ``env`` keeps raw bindings (including identities) so that consistency
     checks see every earlier decision.  One loop over a stack of pairs, each
     with the link chain of its position, holding the arguments right to
-    left; the position is built only for the failure.  Two applications of
+    left: it goes on with each first argument pair in place and pushes only
+    the rest.  The position is built only for the failure.  Two applications of
     one symbol with different argument counts raise ValueError.
     """
     todo: list[tuple[Term, Term, _Link]] = [(pattern, target, None)]
@@ -269,24 +277,28 @@ def _match_into(pattern: Term, target: Term, env: dict[str, Term]) -> NoMatch | 
     seen: set[tuple[int, int]] | None = None
     while todo:
         pattern, target, link = todo.pop()
-        if isinstance(pattern, Var):
-            if not env.setdefault(pattern.name, target) == target:
-                return NoMatch("inconsistent-binding", _position(link))
-        elif not isinstance(target, App) or target.symbol != pattern.symbol:
-            return NoMatch("clash", _position(link))
-        else:
+        while True:  # down the first argument pairs, in place
+            if type(pattern) is Var:
+                if not env.setdefault(pattern.name, target) == target:
+                    return NoMatch("inconsistent-binding", _position(link))
+                break
+            if type(target) is not App or target.symbol != pattern.symbol:
+                return NoMatch("clash", _position(link))
             xs, ys = pattern.args, target.args
             if len(xs) != len(ys):
                 raise _ill_formed(pattern, target)
+            if not xs:
+                break
             if pattern.size > _SMALL:
                 key = (id(pattern), id(target))
                 if seen is None:
                     seen = set()
                 elif key in seen:
-                    continue
+                    break
                 seen.add(key)
-            for i in range(len(xs), 0, -1):
+            for i in range(len(xs), 1, -1):
                 todo.append((xs[i - 1], ys[i - 1], (link, i)))
+            pattern, target, link = xs[0], ys[0], (link, 1)
     return None
 
 

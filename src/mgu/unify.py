@@ -22,9 +22,12 @@ equation-set oracle shares.
 - ``robinson_unify_efficient`` never instantiates: it walks the pairs
   once, from the root, left to right, reading every variable through the
   links made so far (the substitution applied lazily, after Corbin &
-  Bidoit).  A pair of applications expanded once is skipped when met
-  again, so shared subterms cost their distinct pairs, and the occurs
-  check follows variable names through the bound images.
+  Bidoit).  Expanding a pair of applications pushes the argument pairs
+  right of the first, each with its link, and goes on with the first in
+  place, as ``_descend`` does, so only the pairs left for later pass
+  through the stack.  A pair expanded once is skipped when met again, so
+  shared subterms cost their distinct pairs, and the occurs check follows
+  variable names through the bound images.
   Only what a result shows is instantiated: ``OccursCheck.term`` and a
   traced binding.  Resolving conflicts left to right never creates one
   left of a resolved one, so the conflicts, steps, positions and causes
@@ -314,10 +317,13 @@ def _resolve(images: dict[str, Term], names: Iterable[str], table: dict[str, Ter
 
 
 def _image(u: Term, images: dict[str, Term]) -> Term:
-    """``u`` under the acyclic bindings ``images``, instantiated."""
+    """``u`` under the acyclic bindings ``images``, instantiated: ``u``
+    itself when they bind none of its variables."""
+    held = images.keys() & u.vars
+    if not held:
+        return u
     table: dict[str, Term] = {}
     memo: dict = {}
-    held = images.keys() & u.vars
     _resolve(images, held, table, memo)
     return _instantiate(u, table, held, memo)
 
@@ -465,7 +471,8 @@ def robinson_unify_efficient(s: Term, t: Term, trace: TraceFn | None = None) -> 
 
     The walk starts at the root.  A bound variable reads as its image, and a
     pair of applications already expanded is skipped: it has been made
-    equal, and stays so.
+    equal, and stays so.  A pair expanded now pushes its argument pairs
+    right of the first and the walk goes on with the first in place.
     """
     bound: dict[str, Term] = {}
     if trace is not None:
@@ -478,37 +485,40 @@ def robinson_unify_efficient(s: Term, t: Term, trace: TraceFn | None = None) -> 
     seen: dict[tuple[int, int], tuple[App, App]] = {}
     while todo:
         s, t, link = todo.pop()
-        while type(s) is Var and s.name in bound:
-            s = bound[s.name]
-        while type(t) is Var and t.name in bound:
-            t = bound[t.name]
-        if s is t or s._hash == t._hash and s == t:
-            continue
-        if type(s) is Var:
-            x, u = s.name, t
-        elif type(t) is Var:
-            x, u = t.name, s
-        else:
-            if s.symbol != t.symbol:
-                return Failed(Clash(_position(link), s.symbol, t.symbol))
-            key = id(s), id(t)
-            if key in seen:
+        while True:  # down the first argument pairs, in place
+            while type(s) is Var and s.name in bound:
+                s = bound[s.name]
+            while type(t) is Var and t.name in bound:
+                t = bound[t.name]
+            if s is t or s._hash == t._hash and s == t:
+                break
+            if type(s) is Var:
+                x, u = s.name, t
+            elif type(t) is Var:
+                x, u = t.name, s
+            else:
+                if s.symbol != t.symbol:
+                    return Failed(Clash(_position(link), s.symbol, t.symbol))
+                key = id(s), id(t)
+                if key in seen:
+                    break
+                xs, ys = s.args, t.args
+                if len(xs) != len(ys):
+                    raise _ill_formed(s, t)
+                seen[key] = s, t
+                for j in range(len(xs), 1, -1):
+                    todo.append((xs[j - 1], ys[j - 1], (link, j)))
+                s, t, link = xs[0], ys[0], (link, 1)
                 continue
-            xs, ys = s.args, t.args
-            if len(xs) != len(ys):
-                raise _ill_formed(s, t)
-            seen[key] = s, t
-            for j in range(len(xs), 0, -1):
-                todo.append((xs[j - 1], ys[j - 1], (link, j)))
-            continue
-        names = u.vars
-        if x in names or not bound_names.isdisjoint(names) and _reaches(x, names, bound):
-            return Failed(OccursCheck(x, _image(u, bound), _position(link)))
-        bound[x] = u
-        if trace is not None:
-            vars_now -= 1
-            step = (x, _image(u, bound))
-            trace(TraceStep(len(bound), _position(link), step, vars_now + 1, vars_now))
+            names = u.vars
+            if x in names or not bound_names.isdisjoint(names) and _reaches(x, names, bound):
+                return Failed(OccursCheck(x, _image(u, bound), _position(link)))
+            bound[x] = u
+            if trace is not None:
+                vars_now -= 1
+                step = (x, _image(u, bound))
+                trace(TraceStep(len(bound), _position(link), step, vars_now + 1, vars_now))
+            break
     return Unified(_resolved(bound), len(bound))
 
 

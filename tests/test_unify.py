@@ -10,7 +10,7 @@ import pytest
 
 from mgu.oracle import EnumBound, EquationSet, enum_terms, enumerated_unifiers, solve_equations
 from mgu.substitution import Subst, compose, identity, match_terms, more_general, singleton
-from mgu.terms import App, InvalidPositionError, ROOT, Signature, Var, format_term
+from mgu.terms import _SMALL, App, InvalidPositionError, ROOT, Signature, Var, format_term
 from mgu.unify import (
     Clash,
     Failed,
@@ -323,6 +323,31 @@ class TestIllFormed:
         with pytest.raises(ValueError, match="terms are ill-formed"):
             run(f(X, X), f(h(a), h(a, b)))
 
+    @staticmethod
+    def arity_cases(where, leaf):
+        """A pair whose instances hold ``h`` at two arities, the longer on
+        the left, and substitutions to read it under: at the root, or
+        under a binding of ``X`` whose image or partner is the longer."""
+        if where == "root":
+            return h(X, leaf), h(X), (identity(), Subst({"X": leaf}))
+        if where == "longer-partner":
+            return f(X, h(leaf, Y)), f(h(leaf), X), (Subst({"X": h(leaf), "Y": a}),)
+        return f(X, h(leaf)), f(h(leaf, Y), X), (Subst({"X": h(leaf, Y), "Y": a}),)
+
+    @pytest.mark.parametrize("swap", [False, True], ids=["longer-left", "longer-right"])
+    @pytest.mark.parametrize("where", ["root", "longer-partner", "longer-image"])
+    @pytest.mark.parametrize("large", [False, True], ids=["small", "large"])
+    def test_one_symbol_at_two_arities_has_no_unifier(self, where, large, swap):
+        """The answers that need no error: never equal under any
+        substitution, on small terms and past ``_SMALL`` nodes alike."""
+        s, t, sigmas = self.arity_cases(where, chain(20, a) if large else a)
+        if swap:
+            s, t = t, s
+        for sigma in (identity(), *sigmas):
+            assert is_unifier(sigma, s, t) is False
+            assert sigma.applied_equal(s, t) is False
+        assert enumerated_unifiers(s, t, EnumBound(1, ("X", "Y"), SIG_ACCEPT)) == []
+
 
 class TestEfficientWalk:
     """The efficient variant reads terms under its links instead of instantiating them."""
@@ -388,6 +413,26 @@ class TestDeepChains:
         assert isinstance(out, Failed) and isinstance(out.cause, OccursCheck)
         assert (out.cause.variable, str(out.cause.term)) == ("X", "g(X)")
         assert len(out.cause.position) == self.N and set(out.cause.position) == {1}
+
+
+class TestOrderPastSmall:
+    """Each walk takes a pair's first arguments before its second, also when
+    the first conflict lies past ``_SMALL`` nodes deep and the second is at
+    once: every algorithm reports the leftmost-outermost one."""
+
+    @pytest.mark.parametrize("run", ALL_FOUR, ids=ALL_FOUR_IDS)
+    def test_clash(self, run):
+        s, t = f(chain(40, a), a), f(chain(40, b), b)
+        assert s.args[0].size > _SMALL
+        assert run(s, t) == Failed(Clash((1,) * 41, "a", "b"))
+        assert run(t, s) == Failed(Clash((1,) * 41, "b", "a"))
+
+    @pytest.mark.parametrize("run", ALL_FOUR, ids=ALL_FOUR_IDS)
+    def test_occurs(self, run):
+        s, t = f(chain(40, X), X), f(chain(40, g(X)), g(X))
+        assert s.args[0].size > _SMALL
+        assert run(s, t) == Failed(OccursCheck("X", g(X), (1,) * 41))
+        assert run(t, s) == Failed(OccursCheck("X", g(X), (1,) * 41))
 
 
 def _traced(algorithm, s, t):

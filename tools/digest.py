@@ -26,6 +26,9 @@ seeded random equation sets:
   equations over 12 variables, more than it scans without its index, and
   on the pairs of ``unify.families``;
 - ``match``: ``match_terms`` on every ordered pair;
+- ``walks``: ``Subst.applied_equal`` and ``match_terms`` on the pairs of
+  ``unify.families``, whose terms are larger than those of ``match`` and
+  ``substitution`` (see ``walk_lines``);
 - ``positions``: ``positions_of`` on every term, ``occurrences`` on every
   ordered pair;
 - ``surgery``: ``subterm_at`` and ``replace_at`` at every position of every
@@ -275,6 +278,30 @@ def substitution_lines(mgu, universe, rng: random.Random, count: int):
         )))
 
 
+def walk_lines(mgu, cases, rng: random.Random):
+    """Two lines per pair ``(s, t)`` of ``cases``: under its mgu (the
+    identity if it has none), then under that substitution with one binding
+    changed, ``sigma.applied_equal(s, t)`` and ``match_terms(s,
+    sigma.apply(t))``, after the name of the variable whose binding changed.
+
+    The changed image is ``a``, ``g`` of the old image or another binding's
+    image, so the pair mostly stops being equal and the match fails at a
+    position that depends on the walk's order.
+    """
+    sig = mgu.Signature({"a": 0, "b": 0, "f": 2, "g": 1})
+    for s, t in cases:
+        outcome = mgu.robinson_unify_efficient(s, t)
+        sigma = outcome.mgu if isinstance(outcome, mgu.Unified) else mgu.identity()
+        names = sorted(s.vars | t.vars)
+        x = rng.choice(names) if names else None
+        table = dict(sigma.items())
+        if x is not None:
+            old = sigma.get(x)
+            table[x] = rng.choice((sig.app("a"), sig.app("g", old), *table.values()))
+        for name, tau in (("-", sigma), (x, mgu.Subst(table))):
+            yield f"{name} {tau.applied_equal(s, t)} {mgu.match_terms(s, tau.apply(t))!r}"
+
+
 # Stands for the signature file (``f/2 g/1 a/0 b/0``) in a CLI argument
 # list, so that a printed list does not depend on where the file is.
 SIG = "<sig>"
@@ -473,6 +500,11 @@ def main(argv: list[str] | None = None) -> int:
     for s in universe:
         for t in universe:
             out.add(repr(mgu.match_terms(s, t)))
+    sections.append(out)
+
+    out = Section("walks")
+    for line in walk_lines(mgu, families(mgu, random.Random(1)), random.Random(7)):
+        out.add(line)
     sections.append(out)
 
     out = Section("positions")
