@@ -20,14 +20,12 @@ full names, each at most once, with valid values that do not start with
 '-'.  Argparse reads such a list one way only, so the reader builds the
 same attributes from the same tables.  Any other list (help, an error, an
 abbreviation, '=', '--', a repeat, an option before the subcommand) goes
-whole through the shared parser, built on its first use and shared by every
-later call: parsing leaves a parser unchanged, and usage and help are
-formatted when they are printed.  ``argparse`` itself is imported only to
-build a parser, so a plain command line never loads it.  ``build_parser``
-still returns a fresh parser for callers that want their own.  The
-signature file is read on every call, so an edit is seen by the next one,
-and each distinct text of it is parsed once.  An empty ``MGU_SIG`` counts
-as unset, as a shell clears a variable for one command.
+whole through a parser that ``build_parser`` makes for that call.
+``argparse`` itself is imported only to build a parser, so a plain command
+line never loads it.  The signature file is read on every call, so an edit
+is seen by the next one, and each distinct text of it is parsed once.  An
+empty ``MGU_SIG`` counts as unset, as a shell clears a variable for one
+command.
 """
 
 from __future__ import annotations
@@ -379,14 +377,8 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser ``main`` shares across calls, built on first use."""
-    return build_parser()
-
-
 def _read_plain(args: list[str]) -> SimpleNamespace | None:
-    """The attributes of what ``_parser().parse_args(args)`` returns, when
+    """The attributes of what ``build_parser().parse_args(args)`` returns, when
     ``args`` has the plain form; None otherwise.  Plain: a subcommand,
     exactly its number of positionals, none starting with '-', and its
     options by their full names, each at most once, each value a valid
@@ -435,10 +427,14 @@ def _run(command: str, ns: argparse.Namespace | SimpleNamespace) -> int:
 
 def main(argv: list[str] | None = None) -> int:
     args = sys.argv[1:] if argv is None else list(argv)
+    # ``_read_plain`` reads again what argparse reads, and stays for its
+    # price: argparse alone costs ``cli`` 93% of its ops/s (10,390 to 775)
+    # and 20 times its p50, and 38% with one parser shared by every call,
+    # beyond the benchmark's 25% bound (2 vCPUs, CPython 3.11.7).
     ns = _read_plain(args)
     if ns is None:
         try:
-            ns = _parser().parse_args(args)
+            ns = build_parser().parse_args(args)
         except SystemExit as exit_:  # argparse already printed the message
             return int(exit_.code or 0)
     return _run(ns.command, ns)

@@ -26,18 +26,21 @@ substitutions by an exact search, with no unification algorithm and no
 matching.  A substitution unifies a pair exactly when each variable's image
 equals the instance of every term the variable faces in it.  Variables that
 face each other form a class (Martelli & Montanari's multiequations) that
-takes one image.  A class that faces a ground term takes that term, found
-by lookup.  One that faces an open term takes the term's instance once the
-classes the term holds have images, so those classes are searched first, in
+takes one image; one walk of the pair builds the classes and the terms each
+faces.  A class that faces a ground term takes that term, found by lookup.
+One that faces an open term takes the term's instance once the classes the
+term holds have images, so those classes are searched first, in
 topological order; a class inside its own open term, or a cycle of open
 terms, has no unifier.  A class that faces nothing takes every image, of no
 more than the height that the open terms holding it leave.  Every further
 open term is checked as soon as its variables have images, by building its
 instance, as the term that fixes an image is built, and comparing it with
-``==``.  The offset tables that place a choice are plain dicts, cached per
-domain, that nothing mutates.  Only unifiers are built, each still passes
-``is_unifier``, and the result is the same list, in the same order and
-with the same objects, as filtering every enumerated substitution.
+``==``.  The search builds only the unifiers' indices, each a sum of
+offsets; one table per domain and bound, cached for the process, holds
+every candidate ``Subst`` and the offset tables that place a choice, plain
+dicts that nothing mutates.  Each unifier still passes ``is_unifier``, and
+the result is the same list, in the same order and with the same objects,
+as filtering every enumerated substitution.
 
 Enumeration order is fixed (variables lexically, then symbols lexically,
 argument tuples in product order, earlier domain variables cycling fastest)
@@ -92,11 +95,6 @@ class EnumBound:
         object.__setattr__(self, "max_depth", max_depth)
         object.__setattr__(self, "variables", tuple(sorted(set(variables))))
         object.__setattr__(self, "signature", signature)
-        # Every enumerator cache lookup hashes the bound: once, not per lookup.
-        object.__setattr__(self, "_hash", hash((max_depth, self.variables, signature)))
-
-    def __hash__(self) -> int:
-        return self._hash
 
 
 def solve_equations(eqs: EquationSet) -> UnifyOutcome:
@@ -211,7 +209,6 @@ def enum_terms(bound: EnumBound) -> list[Term]:
     return list(_enum_terms(bound))
 
 
-@lru_cache(maxsize=None)
 def _images(name: str, bound: EnumBound) -> tuple[Term, ...]:
     """One domain variable's choices: itself (left unbound) first, then every
     enumerated term other than itself."""
@@ -220,31 +217,26 @@ def _images(name: str, bound: EnumBound) -> tuple[Term, ...]:
 
 
 @lru_cache(maxsize=None)
-def _offsets(domain: tuple[str, ...], bound: EnumBound) -> dict[str, tuple[dict[Term, int], ...]]:
-    """Per variable of ``domain`` and per height ``h`` up to the bound, each
-    of its ``_images`` of height at most ``h`` mapped to its offset in
-    ``_enum_substitutions(domain, bound)``: the image's index times the
-    product of the image counts of the variables before it.  One set per
-    domain, as ``_enum_substitutions`` keeps, of plain dicts that nothing
-    mutates: the search only reads them."""
-    lower = [EnumBound(h, bound.variables, bound.signature) for h in range(bound.max_depth)]
-    tables, stride = {}, 1
-    for x in domain:
-        images = _images(x, bound)
-        full = {u: stride * i for i, u in enumerate(images)}
-        tables[x] = tuple({u: full[u] for u in _images(x, b)} for b in lower) + (full,)
-        stride *= len(images)
-    return tables
-
-
-@lru_cache(maxsize=None)
-def _enum_substitutions(domain: tuple[str, ...], bound: EnumBound) -> tuple[Subst, ...]:
+def _domain(domain: tuple[str, ...], bound: EnumBound) -> tuple[tuple[Subst, ...], dict]:
+    """Every candidate substitution over ``domain``, in enumeration order,
+    and its offset tables: per variable and per height ``h`` up to the
+    bound, each of its ``_images`` of height at most ``h`` mapped to its
+    offset, the image's index times the product of the image counts of the
+    variables before it.  A candidate's index is the sum of its bindings'
+    offsets.  The tables are plain dicts that nothing mutates: the search
+    only reads them."""
+    images = [_images(x, bound) for x in domain]
     # Reversed so the first domain variable cycles fastest; Subst drops the
     # identity bindings that stand for "unbound".
-    return tuple(
-        Subst(dict(zip(reversed(domain), combo)))
-        for combo in itertools.product(*(_images(name, bound) for name in reversed(domain)))
-    )
+    candidates = tuple(Subst(dict(zip(reversed(domain), combo)))
+                       for combo in itertools.product(*reversed(images)))
+    lower = [EnumBound(h, bound.variables, bound.signature) for h in range(bound.max_depth)]
+    tables, stride = {}, 1
+    for x, mine in zip(domain, images):
+        full = {u: stride * i for i, u in enumerate(mine)}
+        tables[x] = tuple({u: full[u] for u in _images(x, b)} for b in lower) + (full,)
+        stride *= len(mine)
+    return candidates, tables
 
 
 def enum_substitutions(domain: Iterable[str], bound: EnumBound) -> list[Subst]:
@@ -254,7 +246,7 @@ def enum_substitutions(domain: Iterable[str], bound: EnumBound) -> list[Subst]:
     The count is the product over the domain of (number of enumerated terms
     other than the variable itself, plus one for leaving it unbound).
     """
-    return list(_enum_substitutions(tuple(sorted(set(domain))), bound))
+    return list(_domain(tuple(sorted(set(domain))), bound)[0])
 
 
 def enumerated_unifiers(s: Term, t: Term, bound: EnumBound) -> list[Subst]:
@@ -267,49 +259,32 @@ def enumerated_unifiers(s: Term, t: Term, bound: EnumBound) -> list[Subst]:
 
     The unifiers are found by an exact search over classes of variables
     (see the module docstring), with no unification algorithm and no
-    matching; only they are built, and each still passes ``is_unifier``.
-    A candidate's index is the sum of its members' offsets, and the indices
-    are sorted into enumeration order.
+    matching.  The search builds only the unifiers' indices, each the sum
+    of its members' offsets, sorted into enumeration order; the results are
+    read out of the domain's table, which holds every candidate ``Subst``
+    for the process, and each still passes ``is_unifier``.
     """
-    faced: dict[str, list[Term]] = {}
-    if not _faced_terms(s, t, faced):
-        return []
     domain = tuple(sorted(s.vars | t.vars))
-    candidates = _enum_substitutions(domain, bound)
-    offsets = _offsets(domain, bound)
-    # Variables that face each other take one image: they are merged into a
-    # class, one list of names shared by its members.  An open term's
-    # instance is an image too, so no taller than the bound: a variable at
-    # depth d in it takes images of height at most the bound minus d.
-    classes = {x: [x] for x in domain}
     height = dict.fromkeys(domain, bound.max_depth)
-    for x, terms in faced.items():
-        for o in terms:
-            if type(o) is Var:
-                mine, theirs = classes[x], classes[o.name]
-                if mine is not theirs:
-                    mine += theirs
-                    classes.update(dict.fromkeys(theirs, mine))
-            elif o.vars and not _lower_heights(o, height, bound.max_depth):
-                return []
+    classes = _classes(s, t, height, bound.max_depth)
+    if classes is None:
+        return []
+    candidates, offsets = _domain(domain, bound)
     # Per class: its members, their offset tables, its (image, offset)
     # choices or the open term that fixes its image instead, and the open
     # terms its image is checked against.  A ground term is the one choice,
     # found by lookup.  Classes without open terms come first.
     order: list[tuple] = []
     todo: list[tuple[set[str], tuple]] = []
-    for members in {id(c): c for c in classes.values()}.values():
+    for members, terms in classes:
         ground, opens = None, []
-        for y in members:
-            for o in faced.get(y, ()):
-                if type(o) is Var:
-                    continue
-                if o.vars:
-                    opens.append(o)
-                elif ground is None:
-                    ground = o
-                elif not ground == o:
-                    return []
+        for o in terms:
+            if o.vars:
+                opens.append(o)
+            elif ground is None:
+                ground = o
+            elif not ground == o:
+                return []
         h = min(height[y] for y in members)
         tables = [offsets[y][h] for y in members]
         if ground is not None:
@@ -424,32 +399,49 @@ def _choices(c: tuple, images: Mapping[str, Term]):
     return iter(() if k is None else ((u, k),))
 
 
-def _faced_terms(s: Term, t: Term, faced: dict[str, list[Term]]) -> bool:
-    """Walk the pair like ``Subst.applied_equal`` with every variable open,
-    recording under each variable the terms its occurrences face, left to
-    right; one loop over a stack of pairs, so depth costs no frames, that
-    goes on with each first argument pair in place and pushes the rest.
+def _classes(s: Term, t: Term, height: dict[str, int], top: int) -> list[tuple[list, list]] | None:
+    """The classes of the pair's variables, the keys of ``height``, each a
+    (members, terms) pair of lists, in the order of their first members;
+    ``height`` is lowered by ``_lower_heights`` for every open term met.
 
-    False at a head-symbol clash, or at one symbol with two argument
-    counts, which no substitution can undo.
+    Walks the pair like ``Subst.applied_equal`` with every variable open;
+    one loop over a stack of pairs, so depth costs no frames, that goes on
+    with each first argument pair in place and pushes the rest.  Two
+    variables that face each other share one class; a term that is not a
+    variable joins the class of the variable it faces, left to right.  None
+    at a head-symbol clash, at one symbol with two argument counts, which no
+    substitution can undo, or at a variable deeper than ``top`` in an open
+    term, whose instance would be taller than every image.
     """
+    classes = {x: ([x], []) for x in height}
     pairs = [(s, t)]
     while pairs:
         s, t = pairs.pop()
         while s is not t:  # down the first argument pairs, in place
             if type(s) is Var:
-                faced.setdefault(s.name, []).append(t)
-                break
-            if type(t) is Var:
-                faced.setdefault(t.name, []).append(s)
-                break
-            xs, ys = s.args, t.args
-            if s.symbol != t.symbol or len(xs) != len(ys):
-                return False
-            if not xs:
-                break
-            for i in range(len(xs) - 1, 0, -1):
-                pairs.append((xs[i], ys[i]))
-            s, t = xs[0], ys[0]
-    return True
-
+                x, o = s.name, t
+            elif type(t) is Var:
+                x, o = t.name, s
+            else:
+                xs, ys = s.args, t.args
+                if s.symbol != t.symbol or len(xs) != len(ys):
+                    return None
+                if not xs:
+                    break
+                for i in range(len(xs) - 1, 0, -1):
+                    pairs.append((xs[i], ys[i]))
+                s, t = xs[0], ys[0]
+                continue
+            mine = classes[x]
+            if type(o) is Var:
+                theirs = classes[o.name]
+                if mine is not theirs:
+                    mine[0].extend(theirs[0])
+                    mine[1].extend(theirs[1])
+                    classes.update(dict.fromkeys(theirs[0], mine))
+            else:
+                mine[1].append(o)
+                if o.vars and not _lower_heights(o, height, top):
+                    return None
+            break
+    return list({id(c): c for c in classes.values()}.values())

@@ -252,6 +252,8 @@ class Signature:
                 raise ValueError(f"duplicate symbol {name!r}")
             table[name] = arity
         self._table = table
+        # Computed once: every enumerator cache lookup hashes a signature.
+        self._hash = hash(frozenset(table.items()))
 
     @property
     def entries(self) -> dict[str, int]:
@@ -266,7 +268,7 @@ class Signature:
         return self._table == other._table
 
     def __hash__(self) -> int:
-        return hash(frozenset(self._table.items()))
+        return self._hash
 
     def __repr__(self) -> str:
         inner = ", ".join(f"{name}/{arity}" for name, arity in sorted(self._table.items()))

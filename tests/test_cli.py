@@ -719,8 +719,9 @@ def _golden_argvs(sig):
 
 class TestDispatch:
     """``main`` reads plain argument lists itself and hands every other one
-    to the shared parser; every output must be the full parser's.  The
-    argument lists are those of the ``cli`` section of ``tools/digest.py``."""
+    to a parser built for the call; every output must be the full
+    parser's.  The argument lists are those of the ``cli`` section of
+    ``tools/digest.py``."""
 
     def test_one_subparser_per_command(self):
         (action,) = (a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))

@@ -131,7 +131,7 @@ def test_enumerator_is_independent_of_what_it_certifies():
             if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
             and node.func.id in functions
         )
-    assert {"_faced_terms", "_search", "_enum_substitutions"} <= reached
+    assert {"_classes", "_search", "_domain"} <= reached
     found = {
         (caller, callee)
         for callee in CERTIFIED

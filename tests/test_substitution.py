@@ -1,4 +1,8 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -50,6 +54,14 @@ class TestConstruction:
     def test_rejects_non_variable_key(self):
         with pytest.raises(ValueError):
             Subst({"x": a})
+
+    def test_rejects_non_term_image(self):
+        with pytest.raises(TypeError):
+            Subst({"X": 1})
+
+    def test_length_counts_bindings_other_than_identities(self):
+        assert len(identity()) == 0
+        assert len(Subst({"X": a, "Y": Y, "Z": X})) == 2
 
 
 class TestDomRanVran:
@@ -136,6 +148,34 @@ class TestRestrictIdempotentEqual:
         assert subst_equal(identity(), identity())
         assert not subst_equal(Subst({"X": a}), Subst({"X": a, "Y": b}))
         assert subst_equal(Subst({"X": a}), Subst({"X": a}))
+
+    def test_unequal_to_what_is_not_a_substitution(self):
+        assert (Subst({"X": a}) == 1) is False
+        assert identity() != {}
+
+    def test_separately_built_shared_chains_compare_in_linear_time(self):
+        # {X_i -> D_i} for D_i = f(D_{i-1}, D_{i-1}), i <= 16,384, built
+        # twice: each image is compared on its own, after the one below it,
+        # so the 16,384 comparisons are linear in all only if each costs its
+        # new node, as adopting equal argument tuples makes it.  A memo per
+        # comparison costs each the whole chain below it.  A subprocess that
+        # prints one bool, so that a quadratic comparison fails on the
+        # timeout and a failure never prints the terms.
+        code = (
+            "from mgu.substitution import Subst\n"
+            "from mgu.terms import Signature\n"
+            "sig = Signature({'f': 2, 'a': 0})\n"
+            "def build(n):\n"
+            "    d, table = sig.app('a'), {}\n"
+            "    for i in range(1, n + 1):\n"
+            "        d = table[f'X{i}'] = sig.app('f', d, d)\n"
+            "    return Subst(table)\n"
+            "print(build(16384) == build(16384))\n"
+        )
+        env = {**os.environ, "PYTHONPATH": str(Path(__file__).resolve().parent.parent / "src")}
+        proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                              text=True, timeout=60)
+        assert (proc.returncode, proc.stdout, proc.stderr) == (0, "True\n", "")
 
     def test_rendering(self):
         assert str(identity()) == "{}"

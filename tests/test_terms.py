@@ -74,6 +74,17 @@ class TestSignature:
     def test_symbols_sorted(self):
         assert SIG.symbols() == ["a", "b", "f", "g", "h"]
 
+    def test_equality_and_hash_ignore_declaration_order(self):
+        other = Signature([("g", 1), ("a", 0)])
+        assert other == Signature({"a": 0, "g": 1})
+        assert hash(other) == hash(Signature({"a": 0, "g": 1}))
+        assert other != Signature({"a": 0})
+        assert (other == 1) is False
+
+    def test_repr_lists_symbols_sorted(self):
+        assert repr(Signature([("g", 1), ("a", 0)])) == "Signature(a/0, g/1)"
+        assert repr(Signature()) == "Signature()"
+
 
 class TestTermBasics:
     def test_var_name_must_be_variable_class(self):
@@ -153,6 +164,24 @@ class TestEqualityWalk:
         # never builds, compare unequal.
         assert _equal_args(App("h", (a, b)), App("h", (a,))) is False
         assert _equal_args(App("h", (a, b)), App("h", (a, b, b))) is False
+
+    @pytest.mark.parametrize("x, y", [
+        (Var("X"), Var("Y")),  # two names
+        (App("a"), App("b")),  # two symbols
+        (g(a), g(b)),  # two argument tuples of at most _SMALL nodes
+    ])
+    def test_distinct_nodes_of_one_hash_are_unequal(self, x, y):
+        # Two distinct nodes given one hash, as a collision would give them,
+        # first arguments of two applications of more than _SMALL nodes that
+        # also share a hash: the walk tells them apart by what they hold.
+        y._hash = x._hash
+        tail = X
+        for _ in range(20):
+            tail = g(tail)
+        s, t = App("h", (x, tail, tail)), App("h", (y, tail, tail))
+        t._hash = s._hash
+        assert _equal_args(s, t) is False
+        assert s != t and t != s
 
     def test_shared_chains_compare_in_linear_time(self):
         # Two separately built chains X_i = f(X_{i-1}, X_{i-1}): 2**65 - 1
