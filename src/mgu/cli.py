@@ -22,10 +22,14 @@ same attributes from the same tables.  Any other list (help, an error, an
 abbreviation, '=', '--', a repeat, an option before the subcommand) goes
 whole through a parser that ``build_parser`` makes for that call.
 ``argparse`` itself is imported only to build a parser, so a plain command
-line never loads it.  The signature file is read on every call, so an edit
-is seen by the next one, and each distinct text of it is parsed once.  An
-empty ``MGU_SIG`` counts as unset, as a shell clears a variable for one
-command.
+line never loads it.  The signature file is read as bytes and decoded as
+UTF-8 on every call, so an edit is seen by the next one, and each distinct
+content of it is parsed once.  An empty ``MGU_SIG`` counts as unset, as a
+shell clears a variable for one command.
+
+``unify`` runs the linear walk, ``robinson_unify_efficient``, unless
+``--algorithm`` names another.  ``--algorithm robinson`` runs the literal
+loop, which prints the same bytes and is quadratic on wide input.
 """
 
 from __future__ import annotations
@@ -228,11 +232,12 @@ def parse_subst(text: str, sig: Signature) -> Subst:
 
 
 @functools.lru_cache(maxsize=16)
-def _signature_of(text: str) -> Signature:
-    """``parse_signature``, once per distinct text: it is a pure function of
-    the text and a ``Signature`` is immutable.  A text that fails to parse
-    is not cached, so it raises on every call."""
-    return parse_signature(text)
+def _signature_of(data: bytes) -> Signature:
+    """``parse_signature`` of the UTF-8 text ``data``, once per distinct
+    content: it is a pure function of the bytes and a ``Signature`` is
+    immutable.  Content that fails to decode or parse is not cached, so it
+    raises on every call."""
+    return parse_signature(data.decode("utf-8"))
 
 
 def _load_signature(path: str | None) -> Signature:
@@ -240,7 +245,10 @@ def _load_signature(path: str | None) -> Signature:
         path = os.environ.get(SIG_ENV_VAR) or None
     if path is None:
         return Signature()
-    with open(path, encoding="utf-8") as handle:
+    # One unbuffered read of the whole file: a text stream would build an
+    # 8 KiB buffer and a decoder for a file of a few lines (11 against 6 us
+    # for 20 bytes, 2 vCPUs, CPython 3.11.7).
+    with open(path, "rb", buffering=0) as handle:
         return _signature_of(handle.read())
 
 
@@ -349,7 +357,7 @@ _COMMON = ("sig", "output")  # every subcommand takes these
 # ``build_parser`` adds the options from here and ``_read_plain`` reads
 # them by it, so the help cannot drift from the reader.
 _OPTIONS: dict[str, dict[str, Any]] = {
-    "algorithm": {"choices": ALGORITHMS, "default": "robinson"},
+    "algorithm": {"choices": ALGORITHMS, "default": "efficient"},
     "trace": {"action": "store_true", "default": False, "help": "print one line per resolved conflict"},
     "sig": {"metavar": "FILE", "default": None, "help": "signature file (name/arity per line)"},
     "output": {"choices": ("text", "structured"), "default": "text"},

@@ -25,6 +25,7 @@ from mgu.cli import (
     parse_subst,
     parse_term,
 )
+from mgu.oracle import EnumBound, enum_terms
 from mgu.substitution import Subst
 from mgu.terms import Signature, Term, Var, format_term
 
@@ -360,6 +361,9 @@ class TestCmdUnify:
 
     def test_missing_signature_file(self, capsys):
         assert main(["unify", "a", "b", "--sig", "/nonexistent/path.sig"]) == 2
+        assert capsys.readouterr() == (
+            "", "error: [Errno 2] No such file or directory: '/nonexistent/path.sig'\n"
+        )
 
     def test_env_var_signature(self, sig_file, capsys, monkeypatch):
         monkeypatch.setenv("MGU_SIG", sig_file)
@@ -427,6 +431,82 @@ class TestSignatureFile:
         assert out == ""
         assert err.startswith("error: 'utf-8' codec can't decode byte 0xff")
         assert err.count("\n") == 1 and err.endswith("\n")
+
+    @pytest.mark.parametrize("newline", ["\r\n", "\r"], ids=["crlf", "cr"])
+    def test_crlf_and_cr_read_as_lf(self, tmp_path, capsys, newline):
+        """The output of ``TestCmdUnify.test_success_text``, on its LF file."""
+        path = tmp_path / "ends.sig"
+        path.write_bytes(SIG_TEXT.replace("\n", newline).encode())
+        assert main(["unify", "f(X, g(Y))", "f(g(Z), X)", "--sig", str(path)]) == 0
+        assert capsys.readouterr() == ("{X -> g(Z), Y -> Z}\n", "")
+
+    def test_bom_is_part_of_the_first_line(self, tmp_path, capsys):
+        path = tmp_path / "bom.sig"
+        path.write_bytes(b"\xef\xbb\xbf" + SIG_TEXT.encode())
+        assert main(["unify", "X", "Y", "--sig", str(path)]) == 2
+        assert capsys.readouterr() == (
+            "", "error: line 1: expected 'name/arity', got '\\ufefff/2'\n"
+        )
+
+    def test_empty_file_is_the_empty_signature(self, tmp_path, capsys):
+        path = tmp_path / "empty.sig"
+        path.write_bytes(b"")
+        assert main(["unify", "X", "Y", "--sig", str(path)]) == 0
+        assert capsys.readouterr() == ("{X -> Y}\n", "")
+        assert main(["unify", "X", "a", "--sig", str(path)]) == 2
+        assert capsys.readouterr() == ("", "error: offset 0: unknown symbol 'a'\n")
+
+    def test_directory_is_an_input_error(self, tmp_path, capsys):
+        assert main(["unify", "X", "Y", "--sig", str(tmp_path)]) == 2
+        assert capsys.readouterr() == ("", f"error: [Errno 21] Is a directory: {str(tmp_path)!r}\n")
+
+    def test_bad_byte_far_into_the_file_reports_its_position(self, tmp_path, capsys):
+        """The whole file is decoded at once, so the position counts from its
+        first byte, past any buffer's size."""
+        path = tmp_path / "long.sig"
+        head = b"# " + b"x" * 10_000 + b"\n" + b"f/2 "
+        path.write_bytes(head + b"\xff\n")
+        assert main(["unify", "X", "Y", "--sig", str(path)]) == 2
+        assert capsys.readouterr() == ("", (
+            f"error: 'utf-8' codec can't decode byte 0xff in position {len(head)}: "
+            "invalid start byte\n"
+        ))
+
+
+class TestDefaultAlgorithm:
+    """``unify`` without ``--algorithm`` prints what ``--algorithm robinson``
+    prints, in every form: it runs the efficient walk, which the engine's
+    tests hold to robinson's outcome, steps and trace."""
+
+    FORMS = [[], ["--output", "structured"], ["--trace"], ["--trace", "--output", "structured"]]
+
+    def _assert_default_is_robinson(self, sig_file, capsys, pairs):
+        for s, t in pairs:
+            for form in self.FORMS:
+                argv = ["unify", s, t, *form, "--sig", sig_file]
+                got = (main(argv), *capsys.readouterr())
+                expected = (main([*argv, "--algorithm", "robinson"]), *capsys.readouterr())
+                assert (argv, got) == (argv, expected)
+
+    def test_golden_pairs(self, sig_file, capsys):
+        pairs = [argv for argv, *_ in GOLDEN_UNIFY]
+        self._assert_default_is_robinson(sig_file, capsys, pairs)
+
+    def test_universe_sample(self, sig_file, capsys):
+        universe = [format_term(t) for t in enum_terms(EnumBound(2, ("X", "Y"), SIG))]
+        rng = random.Random(27)
+        pairs = [(rng.choice(universe), rng.choice(universe)) for _ in range(300)]
+        self._assert_default_is_robinson(sig_file, capsys, pairs)
+
+    def test_default_runs_the_efficient_walk(self, sig_file, capsys, monkeypatch):
+        import mgu.cli
+
+        called = []
+        walk = mgu.cli.robinson_unify_efficient
+        monkeypatch.setattr(mgu.cli, "robinson_unify_efficient",
+                            lambda s, t, trace: called.append(1) or walk(s, t, trace))
+        assert main(["unify", "f(X, a)", "f(b, X)", "--sig", sig_file]) == 1
+        assert (capsys.readouterr(), called) == (("fail: clash a vs b at 2\n", ""), [1])
 
 
 class TestCmdUtils:
@@ -797,7 +877,9 @@ def _tree(leaves):
 def test_unify_efficient_on_a_wide_pair(tmp_path):
     """A balanced tree of 65,536 distinct variable leaves against one of
     constant leaves, through unify (instantiating the terms at every step
-    would take minutes here), match, positions and apply."""
+    would take minutes here), match, positions and apply; and one of 4,096
+    leaves through ``unify`` without ``--algorithm``, which runs the same
+    walk."""
     sig = tmp_path / "wide.sig"
     sig.write_text("f/2\na/0\nb/0\n")
     n = 65_536
@@ -808,11 +890,16 @@ def test_unify_efficient_on_a_wide_pair(tmp_path):
     # Preorder is lexicographic order, and the tree is complete, 16 levels deep.
     positions = sorted(p for k in range(17) for p in itertools.product((1, 2), repeat=k))
     halved = "{" + ", ".join(f"{x} -> {c}" for x, c in sorted(zip(xs[::2], cs[::2]))) + "}"
+    small = 4_096
+    s_small, t_small = _tree(xs[:small]), _tree(cs[:small])
+    witness_small = "{" + ", ".join(f"{x} -> {c}" for x, c in sorted(zip(xs[:small], cs[:small]))) + "}\n"
     commands = [
         ["unify", s, t, "--algorithm", "efficient"],
         ["match", s, t],
         ["positions", t],
         ["apply", halved, s],
+        ["unify", s_small, t_small],
+        ["unify", s_small, t_small, "--algorithm", "efficient"],
     ]
     results = _run_main_in_child([[*argv, "--sig", str(sig)] for argv in commands], timeout=60)
     assert results == [
@@ -820,6 +907,8 @@ def test_unify_efficient_on_a_wide_pair(tmp_path):
         (0, witness, ""),
         (0, " ".join(".".join(map(str, p)) or "e" for p in positions) + "\n", ""),
         (0, _tree([c if i % 2 == 0 else x for i, (x, c) in enumerate(zip(xs, cs))]) + "\n", ""),
+        (0, witness_small, ""),
+        (0, witness_small, ""),
     ]
 
 

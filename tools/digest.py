@@ -49,9 +49,13 @@ seeded random equation sets:
   and output form, and argparse's edges: help, abbreviations, ``--``,
   missing, extra and unknown arguments, bad choices, an option before the
   subcommand, unknown subcommands, lists at the edge of the plain form
-  that ``main`` reads itself) and on 600 seeded ``unify`` (every
-  algorithm and form) and utility commands over the universe: the argument
-  list, then the exit code, stdout and stderr.
+  that ``main`` reads itself), on 600 seeded ``unify`` (every algorithm
+  and form) and utility commands over the universe, and on ``unify``
+  without ``--algorithm`` in the text, structured and traced forms on the
+  pairs of ``unify.families`` (see ``family_cli_lines``): the argument
+  list, then the exit code, stdout and stderr.  961 lines; the 180 from
+  the families compare, on large input, whatever algorithm each checkout
+  runs by default.
 
 A run takes about a minute on one core.
 """
@@ -408,22 +412,33 @@ def cli_commands(mgu, universe, rng: random.Random, count: int):
         yield (kind, *args, *form, "--sig", SIG)
 
 
-def cli_lines(argvs):
+def cli_lines(argvs, sig_text: str = SIG_TEXT):
     """One line per argument list: the list, then the exit code, stdout and
-    stderr of ``mgu.cli.main`` on it, with ``SIG`` a file of ``SIG_TEXT``
+    stderr of ``mgu.cli.main`` on it, with ``SIG`` a file of ``sig_text``
     (and its path printed as ``SIG``) and help formatted for 80 columns."""
     cli = importlib.import_module("mgu.cli")
     os.environ["COLUMNS"] = "80"
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "digest.sig")
         with open(path, "w", encoding="utf-8") as handle:
-            handle.write(SIG_TEXT)
+            handle.write(sig_text)
         for argv in argvs:
             out, err = io.StringIO(), io.StringIO()
             with redirect_stdout(out), redirect_stderr(err):
                 code = cli.main([arg.replace(SIG, path) for arg in argv])
             line = f"{list(argv)!r} {code} {out.getvalue()!r} {err.getvalue()!r}"
             yield line.replace(path, SIG)
+
+
+def family_cli_lines(mgu, cases):
+    """``cli_lines`` of ``unify`` without ``--algorithm``, in the text,
+    structured and traced forms, on each pair of ``cases``.  A flat pair's
+    signature also declares ``k`` at its arity."""
+    fmt = mgu.format_term
+    for s, t in cases:
+        sig_text = SIG_TEXT + (f"k/{len(s.args)}\n" if s.symbol == "k" else "")
+        yield from cli_lines([("unify", fmt(s), fmt(t), *form, "--sig", SIG) for form in FORMS[:3]],
+                             sig_text)
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -546,6 +561,8 @@ def main(argv: list[str] | None = None) -> int:
 
     out = Section("cli")
     for line in cli_lines([*cli_argvs(), *cli_commands(mgu, universe, random.Random(6), 600)]):
+        out.add(line)
+    for line in family_cli_lines(mgu, families(mgu, random.Random(1))):
         out.add(line)
     sections.append(out)
 
