@@ -3,9 +3,11 @@ unification algorithm, and expose the term/substitution utilities.
 
 Exit codes: 0 for a successful result, 1 when the domain says no (not
 unifiable, invalid position, no match), 2 for any input error and for output
-that cannot be written.  The term parser takes its tokens with one regular
-expression and, like every command behind it, walks them with a loop, so the
-CLI takes input as deep as the library does.
+that cannot be written.  The term parser splits its tokens out with string
+methods, matches each name it takes against the name pattern once, and,
+like every command behind it, walks the tokens with a loop, so the CLI takes
+input as deep as the library does.  The token regular expression is read
+only after an error, to place it.
 
 Every subcommand, ``unify`` among them, is one entry of ``_COMMANDS``: its
 positionals, the options it alone takes and its handler; ``_OPTIONS`` holds
@@ -116,19 +118,51 @@ def parse_signature(text: str) -> Signature:
     return Signature(pairs)
 
 
-_DECLARATION_RE = re.compile(r"([A-Za-z_?][A-Za-z0-9_]*)\s*/\s*(\d+)")
+# A name, which '?' can only start: of a variable, a symbol or neither.
+_NAME = r"[A-Za-z?_][A-Za-z0-9_]*"
+_NAME_RE = re.compile(_NAME)
+_DECLARATION_RE = re.compile(rf"({_NAME})\s*/\s*([0-9]+)")
 
 # One token, after any whitespace, in group 1; any other character is an
-# error, for which ``findall`` gives "", as it does for the sentinel that ends
-# a token list.  Tokens are ASCII: "?" <= tok < "[" holds exactly for the
-# variables, the names that start with '?' or an uppercase letter.
-_TOKEN_RE = re.compile(r"\s*(?:(->|[(),{}]|[A-Za-z?_][A-Za-z0-9_]*)|\S)")
+# error, for which ``findall`` gives "".  Only ``_error`` scans a text with
+# it, to place an error.
+_TOKEN_RE = re.compile(rf"\s*(?:(->|[(),{{}}]|{_NAME})|\S)")
+
+
+def _tokens(text: str) -> list[str]:
+    """The pieces of ``text``, then a sentinel "" that ends them, split by
+    string methods alone: the punctuation "->", '(', ')', ',', '{' and '}'
+    spaced out, a break before each '?' (which only starts a name), then
+    ``str.split``, whose whitespace is that of ``_TOKEN_RE``.
+
+    When every other piece is a name, the pieces are the tokens of
+    ``_TOKEN_RE.findall(text)``.  A piece that is no name holds a character
+    that no token takes, so the parsers take a name only through ``_name``.
+    Names are ASCII: of them, "?" <= tok < "[" holds exactly for the
+    variables, which start with '?' or an uppercase letter."""
+    toks = (
+        text.replace("(", " ( ").replace(")", " ) ").replace(",", " , ").replace("{", " { ")
+        .replace("}", " } ").replace("->", " -> ").replace("?", " ?").split()
+    )
+    toks.append("")
+    return toks
+
+
+def _name(text: str, tok: str) -> str:
+    """``tok`` if it is a whole name; otherwise the error at the first
+    character of ``text`` that no token takes, which ``tok`` holds."""
+    if _NAME_RE.fullmatch(tok) is None:
+        raise _error(text, -1, "")  # -1 is no token's index
+    return tok
 
 
 def _error(text: str, i: int, message: str) -> ParseError:
     """``message`` at the offset of token ``i``, or the end of input at the
-    sentinel; but a character that no token takes, anywhere in the text, is
-    the error reported.  Offsets are worked out here, for errors alone."""
+    sentinel or at an ``i`` that no token has; but a character that no token
+    takes, anywhere in the text, is the error reported.  Only an error comes
+    here: the text is scanned again with ``_TOKEN_RE``, whose tokens are
+    those of ``_tokens`` up to the first such character, to find the
+    offsets."""
     at, found = len(text), "unexpected end of input"
     for k, m in enumerate(_TOKEN_RE.finditer(text)):
         if m.lastindex is None:
@@ -140,21 +174,26 @@ def _error(text: str, i: int, message: str) -> ParseError:
 
 
 def _term(
-    text: str, toks: list[str], i: int, arities: dict[str, int], leaves: dict[str, Term]
+    text: str, toks: list[str], i: int, arities: dict[str, int], names: dict[str, Term | None]
 ) -> tuple[Term, int]:
-    """The term at token ``i`` and the index after it: one loop over a stack of
-    open applications, each its symbol, its token's index and its arguments so
-    far.  ``leaves`` holds the one term built per variable or constant name."""
-    stack: list[tuple[str, int, list[Term]]] = []
+    """The term at token ``i`` and the index after it: one loop over the open
+    applications, each its symbol, its token's index and its arguments so
+    far, the innermost in locals and the ones around it on a stack.
+
+    ``names`` holds each name this parse has taken, after its full match
+    (``_name``): the one term built for a variable or constant, None for a
+    symbol that opened an application."""
+    stack: list[tuple[str, int, list[Term] | None]] = []
+    symbol, at, args = "", 0, None
     while True:
         tok = toks[i]
         i += 1
-        term = leaves.get(tok)
+        term = names.get(tok)
         if term is None or toks[i] == "(":
             if "?" <= tok < "[":
                 if toks[i] == "(":
                     raise _error(text, i, f"variable {tok!r} takes no arguments")
-                term = leaves[tok] = Var(tok)
+                term = names[tok] = Var(_name(text, tok))
             elif tok not in arities:
                 if "a" <= tok < "{":
                     raise _error(text, i - 1, str(UnknownSymbolError(tok)))
@@ -165,24 +204,27 @@ def _term(
                 if toks[i] == "(":
                     i += 2
                 if term is None:
-                    term = leaves[tok] = App(tok)
+                    term = names[tok] = App(_name(text, tok))
             else:
-                stack.append((tok, i - 1, []))
+                if tok not in names:
+                    names[_name(text, tok)] = None
+                stack.append((symbol, at, args))
+                symbol, at, args = tok, i - 1, []
                 i += 1
                 continue
         # The innermost open application takes the term; close those that end.
-        while stack:
-            stack[-1][2].append(term)
+        while args is not None:
+            args.append(term)
             tok = toks[i]
             i += 1
             if tok == ",":
                 break
             if tok != ")":
                 raise _error(text, i - 1, f"expected ')', got {tok!r}")
-            symbol, at, args = stack.pop()
             if len(args) != arities[symbol]:
                 raise _error(text, at, str(ArityError(symbol, arities[symbol], len(args))))
             term = App(symbol, args)
+            symbol, at, args = stack.pop()
         else:
             return term, i
 
@@ -198,18 +240,19 @@ def parse_term(text: str, sig: Signature) -> Term:
     Variables start with an uppercase letter or '?', symbols must be
     declared in the signature, and 0-ary symbols parse as ``a`` or ``a()``.
     """
-    toks = _TOKEN_RE.findall(text) + [""]
-    term, i = _term(text, toks, 0, sig.entries, {})
+    toks = _tokens(text)
+    # The signature's table, read in place: ``entries`` would copy it.
+    term, i = _term(text, toks, 0, sig._table, {})
     _end(text, toks, i)
     return term
 
 
 def parse_subst(text: str, sig: Signature) -> Subst:
     """Substitution literal: ``{}`` or ``{X -> t, Y -> s}``."""
-    toks = _TOKEN_RE.findall(text) + [""]
+    toks = _tokens(text)
     if toks[0] != "{":
         raise _error(text, 0, f"expected '{{', got {toks[0]!r}")
-    arities, leaves = sig.entries, {}
+    arities, names = sig._table, {}
     bindings: dict[str, Term] = {}
     i = 1
     if toks[i] != "}":
@@ -221,7 +264,7 @@ def parse_subst(text: str, sig: Signature) -> Subst:
                 raise _error(text, i, f"variable {tok!r} bound twice")
             if toks[i + 1] != "->":
                 raise _error(text, i + 1, f"expected '->', got {toks[i + 1]!r}")
-            bindings[tok], i = _term(text, toks, i + 2, arities, leaves)
+            bindings[_name(text, tok)], i = _term(text, toks, i + 2, arities, names)
             if toks[i] != ",":
                 break
             i += 1

@@ -15,10 +15,12 @@ from hypothesis import given, settings, strategies as st
 
 from mgu.cli import (
     _COMMANDS,
+    _TOKEN_RE,
     ALGORITHMS,
     ParseError,
     _read_plain,
     _run,
+    _tokens,
     build_parser,
     main,
     parse_signature,
@@ -96,6 +98,14 @@ class TestParseSignature:
     def test_rejects_uppercase_name(self):
         with pytest.raises(ParseError, match="lowercase"):
             parse_signature("F/2")
+
+    def test_arity_is_ascii_digits(self, tmp_path, capsys):
+        """An Arabic-Indic 3 is a digit to ``\\d`` but not an arity, as it is
+        not a position's index either."""
+        path = tmp_path / "arabic.sig"
+        path.write_text("f/\u0663\n", encoding="utf-8")
+        assert main(["positions", "X", "--sig", str(path)]) == 2
+        assert capsys.readouterr() == ("", "error: line 1: expected 'name/arity', got 'f/\u0663'\n")
 
 
 class TestParseTerm:
@@ -186,6 +196,35 @@ class TestParseTerm:
             assert parse_term(format_term(t), SIG) == t
 
 
+class TestTokens:
+    """Where the tokens of a text end: '?' only starts a name, and a
+    character no token takes is the error wherever the parse stops."""
+
+    @pytest.mark.parametrize(
+        "parse, text, sig, message",
+        [
+            (parse_term, "f(X?Y,a)", SIG, "offset 3: expected ')', got '?Y'"),
+            (parse_subst, "{X?Y -> a}", SIG, "offset 2: expected '->', got '?Y'"),
+            (parse_term, "g(??)", SIG, "offset 3: expected ')', got '?'"),
+            (parse_subst, "{X\u00e9 -> a}", SIG, "offset 2: unexpected character '\u00e9'"),
+            (parse_subst, "{X - > a}", SIG, "offset 3: unexpected character '-'"),
+            (parse_term, "f\u00e9(a)", Signature({"f\u00e9": 1, "a": 0}),
+             "offset 1: unexpected character '\u00e9'"),
+            (parse_term, "a\u00e9", Signature({"a\u00e9": 0}), "offset 1: unexpected character '\u00e9'"),
+            (parse_subst, "{?-1 -> a}", SIG, "offset 2: unexpected character '-'"),
+            (parse_term, "f(X\u00e9,a)", SIG, "offset 3: unexpected character '\u00e9'"),
+        ],
+    )
+    def test_error_messages(self, parse, text, sig, message):
+        with pytest.raises(ParseError) as err:
+            parse(text, sig)
+        assert str(err.value) == message
+
+    @pytest.mark.parametrize("text", ["f(a,\x1cb)", "f(\xa0a , b)"])
+    def test_unicode_whitespace_between_tokens(self, text):
+        assert parse_term(text, SIG) == SIG.app("f", a, SIG.app("b"))
+
+
 class TestParseSubst:
     def test_identity(self):
         assert parse_subst("{}", SIG) == Subst()
@@ -228,9 +267,11 @@ _LEAVES = [Var("X"), Var("Y"), Var("?v"), WIDE_SIG.app("a"), WIDE_SIG.app("b")]
 _SPACES = ("", "", " ", "\t", "\n", "\u2003")
 # The grammar's tokens, names declared or not, names that are neither
 # variables nor symbols, whitespace and characters no token takes.
-_PIECES = ("(", ")", ",", "{", "}", "->", "-", ">", " ", "\u2003", "f", "g", "h", "a", "a1", "k",
-           "X", "?", "?v", "_", "_x", "1", "\u00e9", "@", "+")
+_PIECES = ("(", ")", ",", "{", "}", "->", "-", ">", " ", "\u2003", "\x1c", "\xa0", "f", "g", "h", "a",
+           "a1", "k", "X", "?", "?v", "_", "_x", "1", "\u00e9", "@", "+", "f\u00e9", "X\u00e9")
 _rngs = st.integers(0, 2**32).map(random.Random)
+# Symbols that are no token, as a signature built in the library may hold.
+_ODD_SIG = Signature({"a": 0, "f": 2, "f\u00e9": 1, "k\u00e9": 0})
 
 
 def _extend(children):
@@ -293,6 +334,25 @@ class TestParserRobustness:
                 assert isinstance(parse(text, WIDE_SIG), kind)
             except ParseError:
                 pass
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.one_of(st.lists(st.sampled_from(_PIECES), max_size=40).map("".join), st.text(max_size=40)))
+    def test_tokens_match_the_regular_expression(self, text):
+        """``_tokens`` splits a text as ``_TOKEN_RE`` does when every character
+        belongs to a token; otherwise both parsers report the first
+        character that none takes, also under a signature whose symbols
+        hold such characters."""
+        found = _TOKEN_RE.findall(text)
+        if "" not in found:
+            assert _tokens(text) == found + [""]
+            return
+        at = next(m.end() - 1 for m in _TOKEN_RE.finditer(text) if m.lastindex is None)
+        message = f"offset {at}: unexpected character {text[at]!r}"
+        for sig in (WIDE_SIG, _ODD_SIG):
+            for parse in (parse_term, parse_subst):
+                with pytest.raises(ParseError) as err:
+                    parse(text, sig)
+                assert str(err.value) == message
 
 
 class TestCmdUnify:

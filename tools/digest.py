@@ -34,10 +34,14 @@ seeded random equation sets:
 - ``surgery``: ``subterm_at`` and ``replace_at`` at every position of every
   term, and at one invalid position per term with the error message;
 - ``parse``: ``mgu.cli.parse_term`` and ``parse_subst`` on 20,000 seeded
-  texts over ``f/2 g/1 h/3 a b``, valid and mutated, all under 900 levels
-  (see ``parse_inputs``): the input, then the result printed or the exact
-  ``ParseError`` message.  ``parse_lines`` with other seeds and counts
-  gives a larger comparison;
+  texts, valid and mutated, all under 900 levels (see ``parse_inputs``),
+  each under ``f/2 g/1 h/3 a b`` and under a signature that also declares
+  a symbol no token spells, ``fé/1``: the input, then the result printed
+  or the exact ``ParseError`` message; then ``parse_term`` on the printed
+  terms of ``unify.families`` (wide up to 1,024 leaves, flat 256, shared
+  12, deep 2,000 levels), each as printed and spaced at random (see
+  ``family_parse_lines``).  40,118 lines.  ``parse_lines`` with other
+  seeds and counts gives a larger comparison;
 - ``enumerated``: ``enumerated_unifiers`` at height 1 on 20,000 seeded
   ordered pairs of the universe;
 - ``substitution``: ``Subst.apply``, ``compose``, ``applied_equal`` and
@@ -68,6 +72,7 @@ import importlib
 import io
 import os
 import random
+import re
 import sys
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
@@ -187,9 +192,11 @@ def long_systems(mgu, rng: random.Random, count: int):
 
 # Tokens that mutations insert: the grammar's own, names declared or not,
 # names that are neither variables nor symbols, whitespace and characters
-# no token takes (a digit, a lone '>').
-_NOISE = ("(", ")", ",", "{", "}", "->", "-", ">", " ", "\u2003", "f", "g", "h", "a", "a1", "k",
-          "X", "?v", "?", "_", "_x", "1", "\u00e9", "+")
+# no token takes (a digit, a lone '>', a letter outside ASCII).
+_NOISE = ("(", ")", ",", "{", "}", "->", "-", ">", " ", "\u2003", "\xa0", "\x1c", "f", "g", "h", "a",
+          "a1", "k", "X", "?v", "?", "_", "_x", "1", "\u00e9", "f\u00e9", "X\u00e9", "+")
+# What goes between tokens: mostly nothing, else whitespace of several kinds.
+_SPACING = ("", "", "", " ", "\t", "\u2003", "\xa0", "\x1c")
 
 
 def parse_inputs(rng: random.Random, count: int):
@@ -240,21 +247,46 @@ def parse_inputs(rng: random.Random, count: int):
                     tokens[i:i] = tokens[i:i + rng.randint(1, 4)]
                 else:
                     del tokens[i:]
-        text = "".join(tok + rng.choice(("", "", "", " ", "\t", "\u2003")) for tok in tokens)
+        text = "".join(tok + rng.choice(_SPACING) for tok in tokens)
         yield kind, text
 
 
 def parse_lines(mgu, rng: random.Random, count: int):
-    """One line per input of ``parse_inputs``: the input, then the parsed
-    term or substitution, printed, or the exact ``ParseError`` message."""
+    """Two lines per input of ``parse_inputs``, one per signature: the
+    input, then the parsed term or substitution, printed, or the exact
+    ``ParseError`` message."""
     cli = importlib.import_module("mgu.cli")
-    sig = mgu.Signature({"a": 0, "b": 0, "f": 2, "g": 1, "h": 3})
+    arities = {"a": 0, "b": 0, "f": 2, "g": 1, "h": 3}
+    sigs = (mgu.Signature(arities), mgu.Signature({**arities, "f\u00e9": 1}))
     for kind, text in parse_inputs(rng, count):
-        try:
-            result = str(cli.parse_term(text, sig) if kind == "term" else cli.parse_subst(text, sig))
-        except cli.ParseError as err:
-            result = f"error: {err}"
-        yield f"{kind} {text!r} {result}"
+        for k, sig in enumerate(sigs):
+            try:
+                result = str(cli.parse_term(text, sig) if kind == "term" else cli.parse_subst(text, sig))
+            except cli.ParseError as err:
+                result = f"error: {err}"
+            yield f"{kind} {k} {text!r} {result}"
+
+
+def family_parse_lines(mgu, cases, rng: random.Random):
+    """``parse_term`` on each distinct printed term of ``cases``, under
+    ``f/2 g/1 a b`` and ``k`` at the arity of its one use: the text as
+    printed and with ``_SPACING`` after each punctuation mark, then the term
+    printed again or the exact ``ParseError`` message."""
+    cli = importlib.import_module("mgu.cli")
+    texts = {}
+    for pair in cases:
+        for u in pair:
+            arity = len(u.args) if getattr(u, "symbol", None) == "k" else 0
+            texts.setdefault(mgu.format_term(u), arity)
+    for text, arity in texts.items():
+        sig = mgu.Signature({"a": 0, "b": 0, "f": 2, "g": 1, "k": arity})
+        spaced = re.sub(r"[(),]", lambda m: m.group() + rng.choice(_SPACING), text)
+        for variant in (text, spaced):
+            try:
+                result = mgu.format_term(cli.parse_term(variant, sig))
+            except cli.ParseError as err:
+                result = f"error: {err}"
+            yield f"{variant!r} {result}"
 
 
 def substitution_lines(mgu, universe, rng: random.Random, count: int):
@@ -543,6 +575,8 @@ def main(argv: list[str] | None = None) -> int:
 
     out = Section("parse")
     for line in parse_lines(mgu, random.Random(3), 20_000):
+        out.add(line)
+    for line in family_parse_lines(mgu, families(mgu, random.Random(1)), random.Random(8)):
         out.add(line)
     sections.append(out)
 
